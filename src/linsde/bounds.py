@@ -232,15 +232,25 @@ def bound_rhs(r: float, t: float, epsilon: float, delta_r: float,
                           r, t, epsilon, delta_r, delta_2r)
 
 
-def _tensor_norm_probe(slabs: np.ndarray, probes: np.ndarray) -> float:
-    """Lower estimate of the spectral norm of a 3rd-order tensor.
+def _max_spectral_norm(mats: np.ndarray) -> float:
+    """Largest spectral norm over a stack of matrices (..., rows, cols)."""
+    return float(np.max(np.linalg.norm(mats, 2, axis=(-2, -1))))
 
-    ``slabs`` has shape (n_rows, n_cols, n_dirs); the tensor norm is
-    sup_{||v||=1} || sum_k v_k T[:, :, k] ||_2, estimated over the given
-    unit probe directions (axis-aligned probes should be included).
+
+def _tensor_norm_probe(slabs: np.ndarray, probes: np.ndarray) -> float:
+    """Lower estimate of the largest spectral norm of 3rd-order tensors.
+
+    ``slabs`` has shape (n_points, n_rows, n_cols, n_dirs); each tensor's
+    norm is sup_{||v||=1} || sum_k v_k T[:, :, k] ||_2, estimated over the
+    given unit probe directions (axis-aligned probes should be included).
     """
-    contracted = np.einsum("ijk,pk->pij", slabs, probes)
-    return float(max(np.linalg.norm(m, 2) for m in contracted))
+    return _max_spectral_norm(np.einsum("qijk,pk->qpij", slabs, probes))
+
+
+def _central_difference(fn, points: np.ndarray, t, h: float) -> np.ndarray:
+    """Central differences of fn(points, t) along each axis, axis last."""
+    return np.stack([fn(points + dp, t) - fn(points - dp, t)
+                     for dp in h * np.eye(points.shape[-1])], axis=-1) / (2 * h)
 
 
 def estimate_constants(model, domain=None, samples_per_axis: int = 33,
@@ -282,31 +292,24 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
         grads = model.drift_gradient(points, t)
         sigmas = model.diffusion(points, t)
         drifts = model.drift(points, t)
-        if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(sigmas))
-                and np.all(np.isfinite(drifts))):
-            bad = points[~np.isfinite(drifts).all(axis=-1)][:1]
+        finite = (np.isfinite(drifts).all(axis=-1)
+                  & np.isfinite(grads).all(axis=(-2, -1))
+                  & np.isfinite(sigmas).all(axis=(-2, -1)))
+        if not np.all(finite):
+            bad = points[~finite][:1]
             raise NumericalDomainError(
                 f"non-finite coefficient evaluation near {bad}", point=bad, time=t)
-        k_grad_u = max(k_grad_u, max(np.linalg.norm(g, 2) for g in grads))
-        k_sigma = max(k_sigma, max(np.linalg.norm(s, 2) for s in sigmas))
+        k_grad_u = max(k_grad_u, _max_spectral_norm(grads))
+        k_sigma = max(k_sigma, _max_spectral_norm(sigmas))
         growth = (np.linalg.norm(drifts, axis=-1)
                   + np.linalg.norm(sigmas, axis=(-2, -1))) \
             / (1.0 + np.linalg.norm(points, axis=-1))
         k_lin = max(k_lin, float(np.max(growth)))
 
-        # central finite differences of the gradient and diffusion per axis
-        for p in points:
-            hess_slabs = np.empty((n, n, n))
-            dsig_slabs = np.empty((n, model.dim_noise, n))
-            for k in range(n):
-                dp = np.zeros(n)
-                dp[k] = h
-                hess_slabs[:, :, k] = (model.drift_gradient(p + dp, t)
-                                       - model.drift_gradient(p - dp, t)) / (2 * h)
-                dsig_slabs[:, :, k] = (model.diffusion(p + dp, t)
-                                       - model.diffusion(p - dp, t)) / (2 * h)
-            k_hess_u = max(k_hess_u, _tensor_norm_probe(hess_slabs, probes))
-            k_grad_sigma = max(k_grad_sigma, _tensor_norm_probe(dsig_slabs, probes))
+        hess = _central_difference(model.drift_gradient, points, t, h)
+        dsig = _central_difference(model.diffusion, points, t, h)
+        k_hess_u = max(k_hess_u, _tensor_norm_probe(hess, probes))
+        k_grad_sigma = max(k_grad_sigma, _tensor_norm_probe(dsig, probes))
 
     return BoundConstants(k_grad_u=k_grad_u, k_hess_u=k_hess_u,
                           k_grad_sigma=k_grad_sigma, k_sigma=k_sigma,

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import bounds as bnd
 from .exceptions import ConfigError, LinSDEError
-from .linearise import InitialCondition, linearised_distribution
+from .linearise import (METHODS, GaussianState, InitialCondition,
+                        linearised_distribution)
 from .models import MODEL_NAMES, builtin_model
-from .sampling import SCHEMES, SimulationConfig, sample_coupled
+from .sampling import SamplePairBatch, SimulationConfig, sample_coupled
 from .scaling import BASES, fit_scaling, run_sweep
-from .sensitivity import (GridSpec, extract_robust_set, s2_field,
-                          write_robust_csv)
+from .sensitivity import (GridSpec, extract_robust_set, robust_header,
+                          s2_field, write_robust_csv)
 
 COMMANDS = ("simulate", "histogram", "validate-scaling", "bound",
             "s2-field", "robust-set")
@@ -86,14 +87,11 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
 def _build_sim(cfg: dict) -> SimulationConfig:
     sim = _get(cfg, "simulation", dict, required=False, default={})
     try:
-        out = SimulationConfig(
+        return SimulationConfig(
             dt=sim.get("dt", 1e-3), scheme=sim.get("scheme", "euler_maruyama"),
             n_samples=sim.get("n_samples", 1000), seed=sim.get("seed", 0))
     except ValueError as exc:
         raise ConfigError("simulation", str(exc)) from exc
-    if out.scheme not in SCHEMES:
-        raise ConfigError("simulation.scheme", f"unknown scheme {out.scheme!r}")
-    return out
 
 
 def _positive_time(cfg: dict) -> float:
@@ -135,7 +133,7 @@ class _Run:
                      f"seed={self.seed} command={command}\n")
 
 
-def _run_simulate(run: _Run) -> None:
+def _run_simulate(run: _Run) -> tuple[SamplePairBatch, GaussianState]:
     cfg = run.cfg
     model = _build_model(cfg)
     init = _build_init(cfg, model.dim_state)
@@ -144,12 +142,8 @@ def _run_simulate(run: _Run) -> None:
     sim = _build_sim(cfg)
     batch = sample_coupled(model, init, epsilon, t, sim)
     law = linearised_distribution(model, init, t, epsilon)
-    sidecar = batch.sidecar()
-    sidecar["config_sha256"] = run.hash
     batch.write_csv(run.path("batch.csv"))
-    with open(run.path("batch.json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    run.write_json("batch.json", batch.sidecar())
     run.write_json("linearised.json", law.to_json())
     return batch, law
 
@@ -296,7 +290,7 @@ def _run_s2_field(run: _Run, with_robust: bool) -> None:
     workers = int(_get(cfg, "workers", int, required=False, default=1))
     fld = _get(cfg, "field", dict, required=False, default={})
     method = fld.get("method", "rk45")
-    if method not in ("rk45", "mazzoni"):
+    if method not in METHODS:
         raise ConfigError("field.method", f"unknown method {method!r}")
     field = s2_field(model, grid, t, workers=workers,
                      tol=fld.get("tol", 1e-6), method=method,
@@ -307,10 +301,7 @@ def _run_s2_field(run: _Run, with_robust: bool) -> None:
             raise ConfigError("threshold", "must be non-negative")
         robust = extract_robust_set(field, float(threshold))
         write_robust_csv(field, robust, run.path("robust.csv"))
-        meta = field.header()
-        meta["threshold"] = robust.threshold
-        meta["robust_fraction"] = robust.fraction
-        run.write_json("robust.json", meta)
+        run.write_json("robust.json", robust_header(field, robust))
     else:
         field.write_csv(run.path("field.csv"))
         run.write_json("field.json", field.header())

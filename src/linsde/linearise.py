@@ -8,10 +8,12 @@ solves the Lyapunov-type matrix ODE
     dPi/dt = J(t) Pi + Pi J(t)^T + eps^2 S(t) S(t)^T,   Pi(0) = Var(x),
 
 with J and S the drift gradient and diffusion evaluated along the reference
-trajectory. The same covariance is also available in quadrature form as
-DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau), which provides an
-independent discretisation used for cross-checking; the ODE route never
-needs the gradient inverse and is the production path.
+trajectory. Its solution splits as Pi(t) = DF Var(x) DF^T + eps^2 P1(t),
+with P1 the unit-noise covariance (eps = 1, P1(0) = 0); the integrators
+compute only P1 and, when needed, DF. P1 is also available in quadrature
+form as DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau), which
+provides an independent discretisation used for cross-checking; the ODE
+route never needs the gradient inverse and is the production path.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from scipy.integrate import solve_ivp
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
 from .flow import COND_LIMIT, DEFAULT_TOL, solve_flow
+
+#: covariance integrators of :func:`propagate_covariance` and s2 fields
+METHODS = ("rk45", "mazzoni")
 
 #: dense-output nodes per unit time for the quadrature cross-check
 QUAD_NODES_PER_UNIT_TIME = 200
@@ -149,17 +154,22 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
                          dt: float = 1e-3) -> GaussianState:
     """Propagate the linearised mean and covariance to time t.
 
-    Solves the covariance ODE jointly with the reference state from
-    Pi(0) = sigma_init (zero by default), symmetrising at every right-hand
-    side evaluation. The mean is the flow state when ``mean0`` is omitted
-    (or equals x0), else flow(t) + DF(t) (mean0 - x0) with DF integrated
-    jointly as well.
+    By linearity the law splits into an initial-uncertainty part and an
+    ongoing-noise part,
+
+        mean = F(t) + DF(t) (mean0 - x0),
+        Pi(t) = DF(t) sigma_init DF(t)^T + eps^2 P1(t),
+
+    where P1 is the unit-noise covariance: the solution of the covariance
+    ODE with eps = 1 from P1(0) = 0. Only P1, the reference state and
+    (when sigma_init is non-zero or the mean is offset from x0) the flow
+    gradient DF are integrated, so one solve serves every noise scale.
 
     ``method`` selects the integrator: "rk45" (default, adaptive embedded
-    Runge-Kutta on the augmented system) or "mazzoni" (fixed-step hybrid
-    combining a Taylor-Heun state approximation with a Gauss-Legendre
-    midpoint transition; preserves symmetry and positive semi-definiteness
-    exactly by congruence, step size ``dt``).
+    Runge-Kutta on the augmented system) or "mazzoni" (fixed step ``dt``:
+    the implicit-midpoint transition applied by congruence along an
+    adaptively integrated reference trajectory, which keeps P1 symmetric
+    positive semi-definite exactly).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
@@ -169,6 +179,8 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
         raise ValueError("t must be non-negative")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
+    if method not in METHODS:
+        raise ValueError(f"unknown covariance integrator {method!r}")
     sigma_init = np.zeros((n, n)) if sigma_init is None \
         else _check_covariance(sigma_init, "sigma_init")
     offset = None
@@ -181,24 +193,24 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
         mean = x0.copy() if offset is None else x0 + offset
         return GaussianState(mean, sigma_init.copy(), 0.0, epsilon).validate()
 
+    need_gradient = offset is not None or bool(np.any(sigma_init))
     if method == "mazzoni":
-        state, grad, cov = _propagate_mazzoni(model, x0, t, epsilon,
-                                              sigma_init, tol, dt,
-                                              need_gradient=offset is not None)
-    elif method == "rk45":
-        state, grad, cov = _propagate_rk45(model, x0, t, epsilon, sigma_init,
-                                           tol, need_gradient=offset is not None)
+        state, grad, unit = _propagate_mazzoni(model, x0, t, tol, dt,
+                                               need_gradient)
     else:
-        raise ValueError(f"unknown covariance integrator {method!r}")
+        state, grad, unit = _propagate_rk45(model, x0, t, tol, need_gradient)
 
     mean = state if offset is None else state + grad @ offset
+    cov = epsilon ** 2 * unit
+    if need_gradient:
+        cov = cov + grad @ sigma_init @ grad.T
     cov = 0.5 * (cov + cov.T)
     return GaussianState(mean, cov, float(t), float(epsilon)).validate()
 
 
-def _propagate_rk45(model, x0, t, epsilon, sigma_init, tol, need_gradient):
+def _propagate_rk45(model, x0, t, tol, need_gradient):
+    """State, DF (or None) and unit-noise covariance by one adaptive solve."""
     n = x0.shape[0]
-    eps2 = epsilon ** 2
     ng = n * n if need_gradient else 0
 
     def rhs(s, z):
@@ -207,7 +219,7 @@ def _propagate_rk45(model, x0, t, epsilon, sigma_init, tol, need_gradient):
         pi = 0.5 * (pi + pi.T)
         jac = model.drift_gradient(x, s)
         sig = model.diffusion(x, s)
-        dpi = jac @ pi + pi @ jac.T + eps2 * (sig @ sig.T)
+        dpi = jac @ pi + pi @ jac.T + sig @ sig.T
         parts = [model.drift(x, s)]
         if need_gradient:
             grad = z[n:n + ng].reshape(n, n)
@@ -215,55 +227,50 @@ def _propagate_rk45(model, x0, t, epsilon, sigma_init, tol, need_gradient):
         parts.append(dpi.ravel())
         return np.concatenate(parts)
 
-    z0 = np.concatenate([x0, np.eye(n).ravel(), sigma_init.ravel()]) \
-        if need_gradient else np.concatenate([x0, sigma_init.ravel()])
+    z0 = np.concatenate([x0, np.eye(n).ravel()[:ng], np.zeros(n * n)])
     sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol, atol=tol * 1e-2)
     if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(
             f"covariance integration failed for model {model.name!r} at "
             f"t={sol.t[-1]:.6g}: {sol.message}", last_time=float(sol.t[-1]))
     zT = sol.y[:, -1]
-    state = zT[:n]
     grad = zT[n:n + ng].reshape(n, n) if need_gradient else None
-    cov = zT[n + ng:].reshape(n, n)
-    return state, grad, cov
+    return zT[:n], grad, zT[n + ng:].reshape(n, n)
 
 
-def _propagate_mazzoni(model, x0, t, epsilon, sigma_init, tol, dt,
-                       need_gradient):
-    """Fixed-step covariance propagation preserving symmetry and PSD.
+def _midpoint_step(jac, sig, h):
+    """Midpoint transition Phi and unit-noise forcing of one step of size h.
 
-    Each step applies the congruence Pi <- Phi Pi Phi^T + h eps^2 S S^T with
-    the implicit-midpoint (one-point Gauss-Legendre) transition
-    Phi = (I - h/2 J_m)^{-1} (I + h/2 J_m) and midpoint coefficients taken
-    along an accurately integrated reference trajectory; both the congruence
-    and the symmetrised forcing keep the iterates symmetric PSD while the
-    scheme stays second-order accurate.
+    ``jac`` (..., n, n) and ``sig`` (..., n, m) are taken at the step
+    midpoints, over any leading batch axis. Phi is the implicit-midpoint
+    (Cayley) transition; the symmetrised forcing carries the noise from the
+    midpoint to the end of the step, which keeps the update
+    P <- Phi P Phi^T + forcing second order as well as symmetric PSD.
     """
+    eye = np.eye(jac.shape[-1])
+    phi = np.linalg.solve(eye - 0.5 * h * jac, eye + 0.5 * h * jac)
+    half = np.linalg.solve(eye - 0.25 * h * jac, eye + 0.25 * h * jac)
+    moved = half @ sig
+    forcing = h * np.einsum("...ij,...lj->...il", moved, moved)
+    return phi, 0.5 * (forcing + np.swapaxes(forcing, -1, -2))
+
+
+def _propagate_mazzoni(model, x0, t, tol, dt, need_gradient):
+    """Fixed-step unit-noise covariance; the step midpoints (and DF) come
+    from the dense output of one accurate reference solve."""
     n = x0.shape[0]
     steps = max(1, round(t / dt))
     h = t / steps
     path = solve_flow(model, x0, t, tol=tol, with_gradient=need_gradient)
     t_mid = (np.arange(steps) + 0.5) * h
     x_mid = path.state(t_mid)
-    jac = model.drift_gradient(x_mid, t_mid)
-    sig = model.diffusion(x_mid, t_mid)
-    eye = np.eye(n)
-    # full-step and half-step midpoint transitions (Cayley forms)
-    phi = np.linalg.solve(eye - 0.5 * h * jac, eye + 0.5 * h * jac)
-    phi_half = np.linalg.solve(eye - 0.25 * h * jac, eye + 0.25 * h * jac)
-    # forcing transported from the midpoint to the end of the step keeps
-    # the scheme second order; the congruence keeps it symmetric PSD
-    moved = phi_half @ sig
-    forcing = h * epsilon ** 2 * np.einsum("kij,klj->kil", moved, moved)
-    cov = sigma_init.copy()
-    grad = eye.copy() if need_gradient else None
+    phi, forcing = _midpoint_step(model.drift_gradient(x_mid, t_mid),
+                                  model.diffusion(x_mid, t_mid), h)
+    cov = np.zeros((n, n))
     for k in range(steps):
-        cov = phi[k] @ cov @ phi[k].T + 0.5 * (forcing[k] + forcing[k].T)
-        if need_gradient:
-            grad = phi[k] @ grad
-    state = path.state(t)
-    return state, grad, cov
+        cov = phi[k] @ cov @ phi[k].T + forcing[k]
+    grad = path.gradient(t) if need_gradient else None
+    return path.state(t), grad, cov
 
 
 def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = None,
@@ -322,8 +329,8 @@ def linearised_distribution(model, init: InitialCondition, t: float,
     """Full Gaussian law of the linearised solution at time t.
 
     The mean is flow(t) + DF(t) (mean0 - x0) and the covariance is
-    DF Sigma0 DF^T + eps^2 * (unit-noise covariance), obtained by
-    propagating the covariance ODE from Pi(0) = Sigma0.
+    DF Sigma0 DF^T + eps^2 * (unit-noise covariance), both assembled by
+    :func:`propagate_covariance`.
     """
     init.validate()
     if init.dim != model.dim_state:

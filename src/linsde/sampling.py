@@ -134,18 +134,28 @@ def _initial_factor(init: InitialCondition) -> Optional[np.ndarray]:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
+def _draw(init: InitialCondition, factor: Optional[np.ndarray], seed: int,
+          start: int, size: int, steps: int, m: int):
+    """Initial states (size, n) and raw increments (size, steps, m).
+
+    Sample i's stream yields its initial offset first (when the initial
+    covariance root ``factor`` is given), then its increments.
+    """
+    x_init = np.tile(init.mean, (size, 1))
+    incr = np.empty((size, steps, m))
+    if factor is None and steps == 0:
+        return x_init, incr
+    for i in range(size):
+        rng = _stream(seed, start + i)
+        if factor is not None:
+            x_init[i] += factor @ rng.standard_normal(init.dim)
+        incr[i] = rng.standard_normal((steps, m))
+    return x_init, incr
+
+
 def draw_initial(init: InitialCondition, n_samples: int, seed: int) -> np.ndarray:
     """Draw initial states, one counter-based stream per sample index."""
-    factor = _initial_factor(init)
-    n = init.dim
-    if factor is None:
-        base = init.reference_point if init.kind == "fixed" else init.mean
-        return np.tile(base, (n_samples, 1))
-    out = np.empty((n_samples, n))
-    for i in range(n_samples):
-        z = _stream(seed, i).standard_normal(n)
-        out[i] = init.mean + factor @ z
-    return out
+    return _draw(init, _initial_factor(init), seed, 0, n_samples, 0, 0)[0]
 
 
 def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
@@ -213,19 +223,8 @@ def _terminal_samples(model, init, epsilon, t, config, coupled, tol):
 
     for start in range(0, n_total, CHUNK_SAMPLES):
         stop = min(start + CHUNK_SAMPLES, n_total)
-        size = stop - start
-        incr = np.empty((size, steps, m))
-        if factor is None:
-            x_init = np.tile(init.reference_point if init.kind == "fixed"
-                             else init.mean, (size, 1))
-            for i in range(size):
-                incr[i] = _stream(config.seed, start + i).standard_normal((steps, m))
-        else:
-            x_init = np.empty((size, n))
-            for i in range(size):
-                rng = _stream(config.seed, start + i)
-                x_init[i] = init.mean + factor @ rng.standard_normal(n)
-                incr[i] = rng.standard_normal((steps, m))
+        x_init, incr = _draw(init, factor, config.seed, start, stop - start,
+                             steps, m)
         incr *= sqrt_h
 
         y = x_init.copy()

@@ -249,6 +249,19 @@ def fit_scaling(sweep: SweepResult, basis: str) -> ScalingFit:
     return ScalingFit(basis, tuple(map(float, coef)), r2)
 
 
+def _resampled_estimates(sweep: SweepResult, n_boot: int,
+                         seed: int) -> np.ndarray:
+    """Bootstrap replicates (n_boot, cells) of the per-cell E_r, resampling
+    each cell's distances, replicate by replicate, from one Philox stream."""
+    rng = np.random.Generator(np.random.Philox(seed=seed))
+    out = np.empty((n_boot, len(sweep)))
+    for b in range(n_boot):
+        for c, dist in enumerate(sweep.distances):
+            idx = rng.integers(0, dist.size, dist.size)
+            out[b, c] = np.mean(dist[idx] ** sweep.r)
+    return out
+
+
 def bootstrap_coefficients(sweep: SweepResult, basis: str,
                            n_boot: int = 1000, seed: int = 0) -> np.ndarray:
     """Bootstrap distribution of fit coefficients, resampling within cells.
@@ -261,17 +274,11 @@ def bootstrap_coefficients(sweep: SweepResult, basis: str,
     x = _fit_axis(sweep, basis)
     build, _, _ = BASES[basis]
     design = build(np.log10(x)) if basis == "loglog_line" else build(x)
-    rng = np.random.Generator(np.random.Philox(seed=seed))
-    out = np.empty((n_boot, design.shape[1]))
-    for b in range(n_boot):
-        resp = np.empty(len(sweep))
-        for c, dist in enumerate(sweep.distances):
-            idx = rng.integers(0, dist.size, dist.size)
-            resp[c] = np.mean(dist[idx] ** sweep.r)
-        if basis == "loglog_line":
-            resp = np.log10(resp)
-        out[b], _, _, _ = np.linalg.lstsq(design, resp, rcond=None)
-    return out
+    resp = _resampled_estimates(sweep, n_boot, seed)
+    if basis == "loglog_line":
+        resp = np.log10(resp)
+    fits = [np.linalg.lstsq(design, row, rcond=None)[0] for row in resp]
+    return np.reshape(fits, (n_boot, design.shape[1]))
 
 
 def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
@@ -294,15 +301,8 @@ def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
     if design.shape[0] < design.shape[1] + 1:
         raise ValueError("need at least four distinct rho cells")
     coef, _, _, _ = np.linalg.lstsq(design, sweep.estimates, rcond=None)
-    rng = np.random.Generator(np.random.Philox(seed=seed))
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        resp = np.empty(len(sweep))
-        for c, dist in enumerate(sweep.distances):
-            idx = rng.integers(0, dist.size, dist.size)
-            resp[c] = np.mean(dist[idx] ** sweep.r)
-        fit, _, _, _ = np.linalg.lstsq(design, resp, rcond=None)
-        boots[b] = fit[2]
+    boots = np.array([np.linalg.lstsq(design, resp, rcond=None)[0][2]
+                      for resp in _resampled_estimates(sweep, n_boot, seed)])
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
     return float(coef[2]), float(lo), float(hi)

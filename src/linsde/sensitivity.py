@@ -8,7 +8,10 @@ robust sets collect the nodes whose value stays below a threshold.
 
 Fields are embarrassingly parallel: nodes are pure, independent
 computations, partitioned into fixed-size chunks whose results are written
-by index, so a field is bit-identical for any worker count.
+by index, so a field is bit-identical for any worker count. One chunk
+worker serves both methods: "rk45" solves each node adaptively through
+:func:`s2_point`, and "mazzoni" advances a whole block with the same
+implicit-midpoint step as the fixed-step covariance integrator.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import FieldError, LinSDEError
-from .linearise import InitialCondition, propagate_covariance
+from .linearise import (METHODS, InitialCondition, _midpoint_step,
+                        propagate_covariance)
 from .models import builtin_model, MODEL_NAMES
 from .sampling import SimulationConfig, sample_nonlinear
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
-           "read_field"]
+           "robust_header", "read_field"]
 
-#: nodes per task; fixed so that results do not depend on the worker count
-CHUNK_NODES = 64
-#: nodes per vectorised block of the fixed-step fast path
-CHUNK_NODES_FAST = 4096
+#: nodes per task for each field method; fixed so that results do not
+#: depend on the worker count ("mazzoni" blocks are vectorised)
+CHUNK_NODES = {"rk45": 64, "mazzoni": 4096}
 
 MAX_MISSING_FRACTION = 0.001
 
@@ -136,44 +139,28 @@ def read_field(csv_path, json_path) -> S2Field:
                    meta.get("params", {}), meta.get("n_missing", 0))
 
 
-def _rebuild(model):
-    return (model.name, model.params) if model.name in MODEL_NAMES else None
+def _field_chunk(model, nodes, t, method, tol, dt):
+    """Sensitivity values of one block of nodes.
 
-
-def _point_chunk(payload):
-    name, params, nodes, t, tol = payload
-    model = builtin_model(name, **params)
-    return _point_chunk_local(model, nodes, t, tol)
-
-
-def _point_chunk_local(model, nodes, t, tol):
-    out = np.empty(len(nodes))
-    for i, x0 in enumerate(nodes):
-        try:
-            out[i] = s2_point(model, x0, t, tol=tol)
-        except LinSDEError:
-            out[i] = np.nan
-    return out
-
-
-def _fast_chunk(payload):
-    name, params, nodes, t, dt = payload
-    model = builtin_model(name, **params)
-    return _fast_chunk_local(model, nodes, t, dt)
-
-
-def _fast_chunk_local(model, nodes, t, dt):
-    """Fixed-step sensitivity over a block of nodes, fully vectorised.
-
-    Reference states advance with classical RK4 on half steps (so the step
-    midpoints fall on the state grid); the covariance advances with the
-    symmetry- and PSD-preserving midpoint congruence of the fixed-step
-    covariance integrator.
+    "rk45" evaluates :func:`s2_point` node by node; a node whose solve fails
+    becomes NaN. "mazzoni" advances the whole block at once: reference
+    states by classical RK4 on half steps (so the step midpoints fall on the
+    state grid) and the unit-noise covariance by the midpoint congruence of
+    the fixed-step covariance integrator. Either way a node's value does
+    not depend on the other nodes of the block.
     """
+    if method == "rk45":
+        out = np.empty(len(nodes))
+        for i, x0 in enumerate(nodes):
+            try:
+                out[i] = s2_point(model, x0, t, tol=tol)
+            except LinSDEError:
+                out[i] = np.nan
+        return out
+
     n = model.dim_state
     steps = max(1, round(t / dt))
     h = t / steps
-    eye = np.eye(n)
     x = np.asarray(nodes, dtype=float).copy()
     cov = np.zeros((len(nodes), n, n))
 
@@ -189,20 +176,21 @@ def _fast_chunk_local(model, nodes, t, dt):
             tk = k * h
             x_mid = rk4(x, tk, 0.5 * h)
             x = rk4(x_mid, tk + 0.5 * h, 0.5 * h)
-            jac = model.drift_gradient(x_mid, tk + 0.5 * h)
-            sig = model.diffusion(x_mid, tk + 0.5 * h)
-            phi = np.linalg.solve(eye - 0.5 * h * jac, eye + 0.5 * h * jac)
-            phi_half = np.linalg.solve(eye - 0.25 * h * jac,
-                                       eye + 0.25 * h * jac)
-            moved = phi_half @ sig
-            forcing = h * np.einsum("kij,klj->kil", moved, moved)
-            cov = phi @ cov @ np.swapaxes(phi, -1, -2) \
-                + 0.5 * (forcing + np.swapaxes(forcing, -1, -2))
+            phi, forcing = _midpoint_step(
+                model.drift_gradient(x_mid, tk + 0.5 * h),
+                model.diffusion(x_mid, tk + 0.5 * h), h)
+            cov = phi @ cov @ np.swapaxes(phi, -1, -2) + forcing
     out = np.full(len(nodes), np.nan)
     finite = np.all(np.isfinite(cov), axis=(-2, -1))
     if np.any(finite):
         out[finite] = np.linalg.eigvalsh(cov[finite])[..., -1]
     return out
+
+
+def _pool_chunk(payload):
+    """Process-pool entry: rebuild the catalog model, then run the chunk."""
+    name, params, *args = payload
+    return _field_chunk(builtin_model(name, **params), *args)
 
 
 def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
@@ -212,45 +200,36 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
 
     ``method`` "rk45" evaluates :func:`s2_point` independently at every
     node with the adaptive integrator; "mazzoni" switches to the fixed-step
-    vectorised fast path (step ``dt``). Nodes are partitioned into
-    fixed-size chunks computed serially or on a process pool; the partition
-    does not depend on ``workers``, so fields are identical for any worker
-    count. Individual node failures are recorded as missing values; more
-    than 0.1 percent missing raises FieldError.
+    vectorised path (step ``dt``). Nodes are partitioned into fixed-size
+    chunks (CHUNK_NODES per method) computed serially or on a process pool;
+    the partition does not depend on ``workers``, so fields are identical
+    for any worker count. Individual node failures are recorded as missing
+    values; more than 0.1 percent missing raises FieldError.
     """
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    if method not in ("rk45", "mazzoni"):
+    if method not in METHODS:
         raise ValueError(f"unknown field method {method!r}")
     nodes = grid.points()
     if nodes.shape[1] != model.dim_state:
         raise ValueError("grid dimension does not match the model")
-    chunk = CHUNK_NODES if method == "rk45" else CHUNK_NODES_FAST
+    chunk = CHUNK_NODES[method]
     blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]
 
-    spec = _rebuild(model)
+    spec = (model.name, model.params) if model.name in MODEL_NAMES else None
     if workers > 1 and spec is None:
         warnings.warn(f"model {model.name!r} is not in the catalog and "
                       "cannot be shipped to worker processes; running "
                       "serially", RuntimeWarning)
         workers = 1
 
-    if method == "rk45":
-        local = lambda blk: _point_chunk_local(model, blk, t, tol)
-        remote = _point_chunk
-        payloads = [(spec[0], spec[1], blk, t, tol) for blk in blocks] \
-            if spec else None
-    else:
-        local = lambda blk: _fast_chunk_local(model, blk, t, dt)
-        remote = _fast_chunk
-        payloads = [(spec[0], spec[1], blk, t, dt) for blk in blocks] \
-            if spec else None
-
     if workers == 1:
-        results = [local(blk) for blk in blocks]
+        results = [_field_chunk(model, blk, t, method, tol, dt)
+                   for blk in blocks]
     else:
+        payloads = [(*spec, blk, t, method, tol, dt) for blk in blocks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(remote, payloads))
+            results = list(pool.map(_pool_chunk, payloads))
     values = np.concatenate(results) if results else np.empty(0)
 
     n_missing = int(np.count_nonzero(~np.isfinite(values)))
@@ -305,6 +284,12 @@ def extract_robust_set(field: S2Field, threshold: float) -> RobustSet:
     return RobustSet(mask, float(threshold))
 
 
+def robust_header(field: S2Field, robust: RobustSet) -> dict:
+    """Field header plus the robust-set threshold and fraction."""
+    return {**field.header(), "threshold": robust.threshold,
+            "robust_fraction": robust.fraction}
+
+
 def write_robust_csv(field: S2Field, robust: RobustSet, path,
                      json_path=None) -> None:
     """Grid coordinates with sensitivity values and the robust-set flag."""
@@ -316,9 +301,7 @@ def write_robust_csv(field: S2Field, robust: RobustSet, path,
             fh.write(",".join(f"{v:.17g}" for v in row)
                      + f",{value:.17g},{int(flag)}\n")
     if json_path is not None:
-        meta = field.header()
-        meta["threshold"] = robust.threshold
-        meta["robust_fraction"] = robust.fraction
         with open(json_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(robust_header(field, robust), fh, indent=2,
+                      sort_keys=True)
             fh.write("\n")

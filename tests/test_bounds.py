@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from linsde.bounds import (BoundConstants, bound_rhs, default_bdg_constant,
                            estimate_constants, gaussian_delta_bound,
                            lemma_constants, moment_constant,
                            theorem_constants)
+from linsde.exceptions import NumericalDomainError
 from linsde.models import builtin_model
 
 UNIT_BDG = lambda r: 1.0
@@ -262,6 +264,60 @@ class TestEstimateConstants:
             assert est.k_grad_u <= model.constants.k_grad_u * (1 + 1e-9)
             assert est.k_hess_u <= model.constants.k_hess_u * (1 + 1e-6) + 1e-9
             assert est.k_sigma <= model.constants.k_sigma * (1 + 1e-9)
+
+    def test_batched_differences_match_per_point_loop(self):
+        # reference: central differences and probe norms point by point;
+        # the estimator batches the same arithmetic, so results are equal
+        model = builtin_model("meandering_jet")
+        t, seed = 0.3, 2
+        est = estimate_constants(model, samples_per_axis=5, times=(t,),
+                                 n_jitter=3, n_probe=8, seed=seed)
+        lo, hi = (np.asarray(b, dtype=float) for b in model.domain)
+        mesh = np.meshgrid(*[np.linspace(lo[k], hi[k], 5) for k in range(2)],
+                           indexing="ij")
+        rng = np.random.default_rng(seed)
+        points = np.vstack([np.stack([m.ravel() for m in mesh], axis=-1),
+                            lo + (hi - lo) * rng.random((3, 2))])
+        probes = np.vstack([np.eye(2), rng.standard_normal((8, 2))])
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        h = 1e-5 * max(1.0, float(np.max(np.abs(np.stack([lo, hi])))))
+
+        def probe_norm(slabs):
+            return max(np.linalg.norm(m, 2)
+                       for m in np.einsum("ijk,pk->pij", slabs, probes))
+
+        k_hess = k_gsig = 0.0
+        for p in points:
+            hess = np.empty((2, 2, 2))
+            dsig = np.empty((2, 2, 2))
+            for k in range(2):
+                dp = np.zeros(2)
+                dp[k] = h
+                hess[:, :, k] = (model.drift_gradient(p + dp, t)
+                                 - model.drift_gradient(p - dp, t)) / (2 * h)
+                dsig[:, :, k] = (model.diffusion(p + dp, t)
+                                 - model.diffusion(p - dp, t)) / (2 * h)
+            k_hess = max(k_hess, probe_norm(hess))
+            k_gsig = max(k_gsig, probe_norm(dsig))
+        assert est.k_hess_u == k_hess
+        assert est.k_grad_sigma == k_gsig
+
+    def test_nonfinite_gradient_reports_its_point(self):
+        # the drift is finite everywhere; only the gradient fails, at the
+        # grid point x = 0
+        model = builtin_model("sine")
+
+        def gradient(x, t):
+            out = np.array(model.drift_gradient(x, t), dtype=float)
+            out[np.asarray(x)[..., 0] == 0.0] = np.nan
+            return out
+
+        bad = dataclasses.replace(model, name="nan_gradient",
+                                  drift_gradient=gradient)
+        with pytest.raises(NumericalDomainError) as err:
+            estimate_constants(bad, samples_per_axis=5, n_jitter=0)
+        np.testing.assert_array_equal(err.value.point, [[0.0]])
+        assert "near [[0.]]" in str(err.value)
 
     def test_requires_domain(self):
         model = builtin_model("sine")

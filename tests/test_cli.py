@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from linsde.cli import main
+from linsde.models import builtin_model
+from linsde.sensitivity import (GridSpec, extract_robust_set, s2_field,
+                                write_robust_csv)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -51,6 +54,7 @@ class TestSimulate:
         assert len(law["config_sha256"]) == 64
         sidecar = json.loads((tmp_path / "out" / "batch.json").read_text())
         assert sidecar["config_sha256"] == law["config_sha256"]
+        assert sidecar["seed"] == 11
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, simulate_config(tmp_path))
@@ -193,6 +197,16 @@ class TestFieldCommands:
         assert main([path]) == 0
         meta = json.loads((tmp_path / "out" / "robust.json").read_text())
         assert meta["robust_fraction"] == 1.0
+        # the library writer produces the same record, without the run keys
+        field = s2_field(builtin_model("meandering_jet"),
+                         GridSpec(((0.0, 3.0, 5), (0.0, 3.0, 4))), 0.5,
+                         method="mazzoni", dt=0.005)
+        robust = extract_robust_set(field, 1e9)
+        write_robust_csv(field, robust, tmp_path / "lib.csv",
+                         json_path=tmp_path / "lib.json")
+        lib = json.loads((tmp_path / "lib.json").read_text())
+        assert lib == {k: v for k, v in meta.items()
+                       if k not in ("config_sha256", "seed")}
         lines = (tmp_path / "out" / "robust.csv").read_text().strip().splitlines()
         assert lines[0] == "x1,x2,s2,robust"
         assert all(line.endswith(",1") for line in lines[1:])

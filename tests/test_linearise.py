@@ -31,6 +31,14 @@ class TestPropagateCovariance:
             expected = eps ** 2 * (1 - math.exp(-2 * t)) / 2
             assert got.covariance[0, 0] == pytest.approx(expected, rel=1e-7)
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3])
+    def test_ou_unit_noise_accuracy_independent_of_epsilon(self, ou, eps):
+        # the integrator solves for the unit-noise covariance, so the
+        # relative accuracy of Pi / eps^2 does not depend on eps
+        got = propagate_covariance(ou, [1.0], 1.0, epsilon=eps).covariance
+        assert got[0, 0] / eps ** 2 == pytest.approx(OU_VARIANCE_T1,
+                                                     rel=1e-8)
+
     def test_zero_noise_zero_init_stays_zero(self, jet):
         for t in (0.3, 1.0):
             got = propagate_covariance(jet, [0.3, 1.1], t, epsilon=0.0)
@@ -94,6 +102,19 @@ class TestPropagateCovariance:
         got = propagate_covariance(jet, [0.3, 1.1], 1.0, 1.0,
                                    method="mazzoni", dt=0.05)
         assert np.linalg.eigvalsh(got.covariance)[0] >= 0.0
+
+    def test_mazzoni_gaussian_law_matches_adaptive(self, jet):
+        # the fixed-step path assembles DF Sigma0 DF^T + eps^2 P1 and the
+        # offset mean from the same pieces as the adaptive path
+        init = InitialCondition.gaussian([0.35, 1.05], rho=0.1,
+                                         reference_point=[0.3, 1.1])
+        ref = linearised_distribution(jet, init, 1.0, 0.05)
+        got = linearised_distribution(jet, init, 1.0, 0.05,
+                                      method="mazzoni", dt=1e-3)
+        np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-7)
+        rel = np.linalg.norm(got.covariance - ref.covariance) \
+            / np.linalg.norm(ref.covariance)
+        assert rel < 1e-4
 
     def test_unknown_method(self, sine):
         with pytest.raises(ValueError, match="integrator"):
