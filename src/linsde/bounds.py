@@ -65,11 +65,6 @@ class BoundConstants:
         if self.n < 1:
             raise ValueError("state dimension n must be a positive integer")
 
-    def with_bdg(self, bdg: Callable[[float], float]) -> "BoundConstants":
-        """Copy of these constants with a different BDG-constant policy."""
-        return BoundConstants(self.k_grad_u, self.k_hess_u, self.k_grad_sigma,
-                              self.k_sigma, self.k_linear_growth, bdg, self.n)
-
 
 @dataclass(frozen=True)
 class BoundBreakdown:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
+from .artifacts import write_record, write_table
 from .exceptions import ConfigError, LinSDEError
 from .linearise import (METHODS, GaussianState, InitialCondition,
                         linearised_distribution)
@@ -47,11 +48,30 @@ def _get(cfg: dict, path: str, kind=None, required: bool = True, default=None):
                 raise ConfigError(".".join(walked), "missing required field")
             return default
         node = node[part]
-    if kind is not None and not isinstance(node, kind):
+    return _checked(path, node, kind)
+
+
+def _checked(path: str, value, kind):
+    """``value`` if it is a ``kind``; bools are not numbers and floats must
+    be finite."""
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         names = kind.__name__ if isinstance(kind, type) \
             else "/".join(k.__name__ for k in kind)
-        raise ConfigError(path, f"expected {names}, got {type(node).__name__}")
-    return node
+        raise ConfigError(path, f"expected {names}, "
+                          f"got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
+    return value
+
+
+def _numbers(cfg: dict, path: str, required: bool = True, default=None):
+    """The list of numbers at ``path``, each element checked by _get's rules."""
+    items = _get(cfg, path, list, required, default)
+    if items is None:
+        return None
+    return [_checked(f"{path}[{i}]", v, (int, float))
+            for i, v in enumerate(items)]
 
 
 def _build_model(cfg: dict):
@@ -71,12 +91,12 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
     kind = _get(cfg, "init.kind", str)
     try:
         if kind == "fixed":
-            return InitialCondition.fixed(_get(cfg, "init.point", list))
+            return InitialCondition.fixed(_numbers(cfg, "init.point"))
         if kind == "gaussian":
-            mean = _get(cfg, "init.mean", list)
+            mean = _numbers(cfg, "init.mean")
             rho = _get(cfg, "init.rho", (int, float), required=False)
             cov = _get(cfg, "init.covariance", list, required=False)
-            ref = _get(cfg, "init.reference_point", list, required=False)
+            ref = _numbers(cfg, "init.reference_point", required=False)
             return InitialCondition.gaussian(mean, covariance=cov, rho=rho,
                                              reference_point=ref)
     except ValueError as exc:
@@ -85,11 +105,16 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
 
 
 def _build_sim(cfg: dict) -> SimulationConfig:
-    sim = _get(cfg, "simulation", dict, required=False, default={})
+    _get(cfg, "simulation", dict, required=False)
     try:
         return SimulationConfig(
-            dt=sim.get("dt", 1e-3), scheme=sim.get("scheme", "euler_maruyama"),
-            n_samples=sim.get("n_samples", 1000), seed=sim.get("seed", 0))
+            dt=_get(cfg, "simulation.dt", (int, float), required=False,
+                    default=1e-3),
+            scheme=_get(cfg, "simulation.scheme", str, required=False,
+                        default="euler_maruyama"),
+            n_samples=_get(cfg, "simulation.n_samples", int, required=False,
+                           default=1000),
+            seed=_get(cfg, "simulation.seed", int, required=False, default=0))
     except ValueError as exc:
         raise ConfigError("simulation", str(exc)) from exc
 
@@ -113,18 +138,15 @@ class _Run:
         self.cfg = cfg
         self.out = out_dir
         self.hash = _config_hash(cfg)
-        self.seed = int(_get(cfg, "simulation.seed", (int,),
-                             required=False, default=0))
+        self.sim = _build_sim(cfg)
+        self.seed = self.sim.seed
 
     def path(self, name: str) -> Path:
         return self.out / name
 
     def write_json(self, name: str, payload: dict) -> None:
-        record = {"config_sha256": self.hash, "seed": self.seed}
-        record.update(payload)
-        with open(self.path(name), "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_record(self.path(name),
+                     {"config_sha256": self.hash, "seed": self.seed, **payload})
 
     def write_provenance(self, command: str) -> None:
         stamp = datetime.now(timezone.utc).isoformat()
@@ -139,8 +161,7 @@ def _run_simulate(run: _Run) -> tuple[SamplePairBatch, GaussianState]:
     init = _build_init(cfg, model.dim_state)
     t = _positive_time(cfg)
     epsilon = float(_get(cfg, "epsilon", (int, float)))
-    sim = _build_sim(cfg)
-    batch = sample_coupled(model, init, epsilon, t, sim)
+    batch = sample_coupled(model, init, epsilon, t, run.sim)
     law = linearised_distribution(model, init, t, epsilon)
     batch.write_csv(run.path("batch.csv"))
     run.write_json("batch.json", batch.sidecar())
@@ -149,10 +170,12 @@ def _run_simulate(run: _Run) -> tuple[SamplePairBatch, GaussianState]:
 
 
 def _run_histogram(run: _Run) -> None:
-    batch, law = _run_simulate(run)
     bins = _get(run.cfg, "histogram.bins", (int, str), required=False,
                 default="fd")
-    rows = []
+    if isinstance(bins, int) and bins < 1:
+        raise ConfigError("histogram.bins", "must be a positive integer")
+    batch, law = _run_simulate(run)
+    blocks = []
     for j in range(batch.y_samples.shape[1]):
         y = batch.y_samples[:, j]
         sd = math.sqrt(max(law.covariance[j, j], 0.0))
@@ -164,13 +187,11 @@ def _run_histogram(run: _Run) -> None:
         centres = 0.5 * (edges[:-1] + edges[1:])
         pdf = np.exp(-0.5 * ((centres - law.mean[j]) / sd) ** 2) \
             / (sd * math.sqrt(2.0 * math.pi))
-        for k in range(density.size):
-            rows.append((j + 1, edges[k], edges[k + 1], density[k], pdf[k]))
-    with open(run.path("histogram.csv"), "w") as fh:
-        fh.write("component,bin_left,bin_right,density,gaussian_density\n")
-        for row in rows:
-            fh.write(f"{row[0]}," + ",".join(f"{v:.17g}" for v in row[1:])
-                     + "\n")
+        blocks.append((np.full(density.size, j + 1), edges[:-1], edges[1:],
+                       density, pdf))
+    write_table(run.path("histogram.csv"),
+                ["component", "bin_left", "bin_right", "density",
+                 "gaussian_density"], map(np.concatenate, zip(*blocks)))
     run.write_json("histogram.json",
                    {"bins": bins, "n_components": batch.y_samples.shape[1],
                     "n_samples": len(batch)})
@@ -179,15 +200,15 @@ def _run_histogram(run: _Run) -> None:
 def _run_validate_scaling(run: _Run) -> None:
     cfg = run.cfg
     model = _build_model(cfg)
-    x0 = _get(cfg, "x0", list)
-    eps_grid = [float(v) for v in _get(cfg, "epsilon_grid", list)]
-    rho_grid = [float(v) for v in _get(cfg, "rho_grid", list)]
+    x0 = _numbers(cfg, "x0")
+    eps_grid = [float(v) for v in _numbers(cfg, "epsilon_grid")]
+    rho_grid = [float(v) for v in _numbers(cfg, "rho_grid")]
     if not eps_grid:
         raise ConfigError("epsilon_grid", "grid must be non-empty")
     if not rho_grid:
         raise ConfigError("rho_grid", "grid must be non-empty")
     t = _positive_time(cfg)
-    orders = _get(cfg, "r", list, required=False, default=[1])
+    orders = _numbers(cfg, "r", required=False, default=[1])
     bases = _get(cfg, "basis", (str, list), required=False,
                  default="const_plus_eps2")
     if isinstance(bases, str):
@@ -197,12 +218,11 @@ def _run_validate_scaling(run: _Run) -> None:
             raise ConfigError("basis", f"unknown basis {basis!r}; available: "
                               f"{', '.join(sorted(BASES))}")
         axis_len = len(eps_grid) if BASES[basis][1] == "epsilon" else len(rho_grid)
-        arity = 2
-        if axis_len < arity + 2:
+        need = BASES[basis][0](np.ones(1)).shape[1] + 2
+        if axis_len < need:
             raise ConfigError("basis", f"basis {basis!r} needs at least "
-                              f"{arity + 2} cells along its axis, got {axis_len}")
-    sim = _build_sim(cfg)
-    sweeps = run_sweep(model, x0, rho_grid, eps_grid, t, orders, sim)
+                              f"{need} cells along its axis, got {axis_len}")
+    sweeps = run_sweep(model, x0, rho_grid, eps_grid, t, orders, run.sim)
     fits = []
     for sweep in sweeps:
         tag = f"{sweep.r:g}".replace(".", "p")
@@ -229,13 +249,17 @@ def _build_constants(cfg: dict, model) -> bnd.BoundConstants:
     if spec == "estimate":
         return bnd.estimate_constants(model)
     if isinstance(spec, dict):
+        given = {k: _get(cfg, f"bound.constants.{k}", (int, float))
+                 for k in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma")}
         try:
             return bnd.BoundConstants(
-                k_grad_u=spec["k_grad_u"], k_hess_u=spec["k_hess_u"],
-                k_grad_sigma=spec["k_grad_sigma"], k_sigma=spec["k_sigma"],
-                k_linear_growth=spec.get("k_linear_growth", 0.0),
-                n=spec.get("n", model.dim_state))
-        except (KeyError, ValueError) as exc:
+                **given,
+                k_linear_growth=_get(cfg, "bound.constants.k_linear_growth",
+                                     (int, float), required=False,
+                                     default=0.0),
+                n=_get(cfg, "bound.constants.n", int, required=False,
+                       default=model.dim_state))
+        except ValueError as exc:
             raise ConfigError("bound.constants", str(exc)) from exc
     raise ConfigError("bound.constants",
                       "expected 'model', 'estimate' or a mapping")
@@ -287,18 +311,25 @@ def _run_s2_field(run: _Run, with_robust: bool) -> None:
     model = _build_model(cfg)
     grid = _build_grid(cfg, model)
     t = _positive_time(cfg)
-    workers = int(_get(cfg, "workers", int, required=False, default=1))
-    fld = _get(cfg, "field", dict, required=False, default={})
-    method = fld.get("method", "rk45")
+    workers = _get(cfg, "workers", int, required=False, default=1)
+    if workers < 1:
+        raise ConfigError("workers", "must be a positive integer")
+    _get(cfg, "field", dict, required=False)
+    method = _get(cfg, "field.method", str, required=False, default="rk45")
     if method not in METHODS:
         raise ConfigError("field.method", f"unknown method {method!r}")
-    field = s2_field(model, grid, t, workers=workers,
-                     tol=fld.get("tol", 1e-6), method=method,
-                     dt=fld.get("dt", 2e-3))
+    tol = _get(cfg, "field.tol", (int, float), required=False, default=1e-6)
+    dt = _get(cfg, "field.dt", (int, float), required=False, default=2e-3)
+    for name, value in (("field.tol", tol), ("field.dt", dt)):
+        if value <= 0:
+            raise ConfigError(name, "must be positive")
     if with_robust:
         threshold = _get(cfg, "threshold", (int, float))
         if threshold < 0:
             raise ConfigError("threshold", "must be non-negative")
+    field = s2_field(model, grid, t, workers=workers, tol=tol, method=method,
+                     dt=dt)
+    if with_robust:
         robust = extract_robust_set(field, float(threshold))
         write_robust_csv(field, robust, run.path("robust.csv"))
         run.write_json("robust.json", robust_header(field, robust))

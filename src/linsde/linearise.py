@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
 from .flow import COND_LIMIT, DEFAULT_TOL, solve_flow
@@ -81,9 +82,7 @@ class GaussianState:
         return cls(mean, cov, float(data["t"]), float(data["epsilon"]))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_record(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "GaussianState":

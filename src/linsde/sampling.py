@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import write_table
 from .exceptions import BatchError
 from .flow import solve_flow
 from .linearise import InitialCondition
@@ -30,6 +31,11 @@ SCHEMES = ("euler_maruyama", "milstein_1d")
 #: samples are generated in fixed-size blocks to bound memory; the block
 #: size does not affect results (per-sample streams)
 CHUNK_SAMPLES = 2048
+
+#: each sample's increments are drawn in blocks of at most this many steps
+#: from its persisting stream, so memory does not grow with the horizon;
+#: the block length does not affect results
+BLOCK_STEPS = 1024
 
 MAX_FLAGGED_FRACTION = 0.01
 
@@ -52,6 +58,8 @@ class SimulationConfig:
                              f"available: {', '.join(SCHEMES)}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def steps_for(self, t: float) -> int:
         """Integer step count for horizon t (dt is stretched to divide t)."""
@@ -93,19 +101,11 @@ class SamplePairBatch:
                 "n_retained": int(len(self)),
                 "config": self.config.to_json()}
 
-    def write_csv(self, path, sidecar_path=None) -> None:
+    def write_csv(self, path) -> None:
         n = self.y_samples.shape[1]
-        header = ",".join([f"y{i + 1}" for i in range(n)]
-                          + [f"l{i + 1}" for i in range(n)])
-        data = np.hstack([self.y_samples, self.l_samples])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        if sidecar_path is not None:
-            with open(sidecar_path, "w") as fh:
-                json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_table(path, [f"y{i + 1}" for i in range(n)]
+                    + [f"l{i + 1}" for i in range(n)],
+                    [*self.y_samples.T, *self.l_samples.T])
 
 
 def read_batch(csv_path, sidecar_path) -> SamplePairBatch:
@@ -135,27 +135,26 @@ def _initial_factor(init: InitialCondition) -> Optional[np.ndarray]:
 
 
 def _draw(init: InitialCondition, factor: Optional[np.ndarray], seed: int,
-          start: int, size: int, steps: int, m: int):
-    """Initial states (size, n) and raw increments (size, steps, m).
+          start: int, size: int):
+    """Initial states (size, n) and the per-sample streams that drew them.
 
     Sample i's stream yields its initial offset first (when the initial
     covariance root ``factor`` is given), then its increments.
     """
     x_init = np.tile(init.mean, (size, 1))
-    incr = np.empty((size, steps, m))
-    if factor is None and steps == 0:
-        return x_init, incr
-    for i in range(size):
-        rng = _stream(seed, start + i)
-        if factor is not None:
+    rngs = [_stream(seed, start + i) for i in range(size)]
+    if factor is not None:
+        for i, rng in enumerate(rngs):
             x_init[i] += factor @ rng.standard_normal(init.dim)
-        incr[i] = rng.standard_normal((steps, m))
-    return x_init, incr
+    return x_init, rngs
 
 
 def draw_initial(init: InitialCondition, n_samples: int, seed: int) -> np.ndarray:
     """Draw initial states, one counter-based stream per sample index."""
-    return _draw(init, _initial_factor(init), seed, 0, n_samples, 0, 0)[0]
+    factor = _initial_factor(init)
+    if factor is None:
+        return np.tile(init.mean, (n_samples, 1))
+    return _draw(init, factor, seed, 0, n_samples)[0]
 
 
 def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
@@ -223,16 +222,20 @@ def _terminal_samples(model, init, epsilon, t, config, coupled, tol):
 
     for start in range(0, n_total, CHUNK_SAMPLES):
         stop = min(start + CHUNK_SAMPLES, n_total)
-        x_init, incr = _draw(init, factor, config.seed, start, stop - start,
-                             steps, m)
-        incr *= sqrt_h
+        x_init, rngs = _draw(init, factor, config.seed, start, stop - start)
+        buf = np.empty((stop - start, min(steps, BLOCK_STEPS), m))
 
         y = x_init.copy()
         l = x_init.copy() if coupled else None
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
+                if k % BLOCK_STEPS == 0:
+                    incr = buf[:, :steps - k]
+                    for rng, rows in zip(rngs, incr):
+                        rng.standard_normal(out=rows)
+                    incr *= sqrt_h
                 tk = tgrid[k]
-                dw = incr[:, k, :]
+                dw = incr[:, k % BLOCK_STEPS, :]
                 u_y = model.drift(y, tk)
                 sig_y = model.diffusion(y, tk)
                 y_step = u_y * h + epsilon * np.einsum("sij,sj->si", sig_y, dw)

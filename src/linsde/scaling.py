@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .linearise import InitialCondition
 from .sampling import SamplePairBatch, SimulationConfig, sample_coupled
 
@@ -80,13 +81,11 @@ class SweepResult:
                            self.seeds[mask], self.r, self.n_samples, dist)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epsilon,rho,r,estimate,stderr,n,seed\n")
-            for i in range(len(self)):
-                fh.write(f"{self.epsilons[i]:.17g},{self.rhos[i]:.17g},"
-                         f"{self.r:.17g},{self.estimates[i]:.17g},"
-                         f"{self.stderrs[i]:.17g},{self.n_samples},"
-                         f"{int(self.seeds[i])}\n")
+        write_table(path, ["epsilon", "rho", "r", "estimate", "stderr", "n",
+                           "seed"],
+                    [self.epsilons, self.rhos, np.full(len(self), self.r),
+                     self.estimates, self.stderrs,
+                     np.full(len(self), self.n_samples), self.seeds])
 
 
 def read_sweep(path) -> SweepResult:

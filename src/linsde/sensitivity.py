@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .exceptions import FieldError, LinSDEError
 from .linearise import (METHODS, InitialCondition, _midpoint_step,
                         propagate_covariance)
@@ -116,18 +117,9 @@ class S2Field:
                 "model": self.model_name, "params": self.params,
                 "n_missing": int(self.n_missing)}
 
-    def write_csv(self, path, json_path=None) -> None:
-        points = self.grid.points()
-        cols = [f"x{i + 1}" for i in range(self.grid.dim)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols + ["s2"]) + "\n")
-            for row, value in zip(points, self.values):
-                fh.write(",".join(f"{v:.17g}" for v in row)
-                         + f",{value:.17g}\n")
-        if json_path is not None:
-            with open(json_path, "w") as fh:
-                json.dump(self.header(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    def write_csv(self, path) -> None:
+        write_table(path, [f"x{i + 1}" for i in range(self.grid.dim)] + ["s2"],
+                    [*self.grid.points().T, self.values])
 
 
 def read_field(csv_path, json_path) -> S2Field:
@@ -290,18 +282,8 @@ def robust_header(field: S2Field, robust: RobustSet) -> dict:
             "robust_fraction": robust.fraction}
 
 
-def write_robust_csv(field: S2Field, robust: RobustSet, path,
-                     json_path=None) -> None:
+def write_robust_csv(field: S2Field, robust: RobustSet, path) -> None:
     """Grid coordinates with sensitivity values and the robust-set flag."""
-    points = field.grid.points()
-    cols = [f"x{i + 1}" for i in range(field.grid.dim)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols + ["s2", "robust"]) + "\n")
-        for row, value, flag in zip(points, field.values, robust.mask):
-            fh.write(",".join(f"{v:.17g}" for v in row)
-                     + f",{value:.17g},{int(flag)}\n")
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(robust_header(field, robust), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+    write_table(path, [f"x{i + 1}" for i in range(field.grid.dim)]
+                + ["s2", "robust"],
+                [*field.grid.points().T, field.values, robust.mask])

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from linsde import bounds, cli
+from linsde.artifacts import write_record
 from linsde.cli import main
 from linsde.models import builtin_model
-from linsde.sensitivity import (GridSpec, extract_robust_set, s2_field,
-                                write_robust_csv)
+from linsde.sensitivity import (GridSpec, extract_robust_set, robust_header,
+                                s2_field)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -197,13 +199,12 @@ class TestFieldCommands:
         assert main([path]) == 0
         meta = json.loads((tmp_path / "out" / "robust.json").read_text())
         assert meta["robust_fraction"] == 1.0
-        # the library writer produces the same record, without the run keys
+        # a library caller writes the same record, without the run keys
         field = s2_field(builtin_model("meandering_jet"),
                          GridSpec(((0.0, 3.0, 5), (0.0, 3.0, 4))), 0.5,
                          method="mazzoni", dt=0.005)
         robust = extract_robust_set(field, 1e9)
-        write_robust_csv(field, robust, tmp_path / "lib.csv",
-                         json_path=tmp_path / "lib.json")
+        write_record(tmp_path / "lib.json", robust_header(field, robust))
         lib = json.loads((tmp_path / "lib.json").read_text())
         assert lib == {k: v for k, v in meta.items()
                        if k not in ("config_sha256", "seed")}
@@ -253,3 +254,61 @@ class TestConfigErrors:
     def test_negative_horizon(self, tmp_path):
         cfg = simulate_config(tmp_path, t=-1.0)
         assert main([write_config(tmp_path, cfg)]) == 2
+
+
+def _probe_base(tmp_path, command):
+    out = str(tmp_path / "out")
+    if command in ("simulate", "histogram"):
+        return simulate_config(tmp_path, command=command)
+    if command == "validate-scaling":
+        return {"command": command, "model": {"name": "sine"}, "x0": [0.5],
+                "epsilon_grid": [0.01, 0.03, 0.06, 0.1], "rho_grid": [0.0],
+                "t": 0.5, "output_dir": out}
+    if command == "bound":
+        return {"command": command, "model": {"name": "sine"},
+                "bound": {"r": 1, "t": 1.0, "epsilon": 0.05},
+                "output_dir": out}
+    return {"command": command, "model": {"name": "meandering_jet"},
+            "grid": [[0.0, 3.0, 3], [0.0, 3.0, 2]], "t": 0.5,
+            "field": {"method": "mazzoni"}, "output_dir": out}
+
+
+#: (command, dotted config path, bad value, extra command-line arguments)
+BAD_INPUTS = [
+    ("simulate", "simulation.n_samples", True, []),
+    ("simulate", "simulation.dt", "x", []),
+    ("s2-field", "field.tol", "x", []),
+    ("simulate", None, None, ["--seed", "-1"]),
+    ("simulate", "epsilon", float("nan"), []),
+    ("simulate", "t", float("inf"), []),
+    ("s2-field", "field.dt", 0, []),
+    ("s2-field", "workers", 0, []),
+    ("validate-scaling", "epsilon_grid", [0.01, "q", 0.06, 0.1], []),
+    ("histogram", "histogram.bins", -3, []),
+    ("s2-field", "workers", True, []),
+    ("bound", "bound.r", True, []),
+    ("bound", "bound.constants", {"k_grad_u": 1.0, "k_hess_u": 1.0,
+                                  "k_grad_sigma": 0.0, "k_sigma": "x"}, []),
+]
+
+
+@pytest.mark.parametrize("command,path,value,argv", BAD_INPUTS)
+def test_bad_input_exits_2_before_numerical_work(tmp_path, monkeypatch,
+                                                 capsys, command, path,
+                                                 value, argv):
+    def numerical_work(*args, **kwargs):
+        raise AssertionError("numerical work started on a bad config")
+
+    for owner, name in ((cli, "sample_coupled"), (cli, "run_sweep"),
+                        (cli, "s2_field"), (bounds, "bound_rhs"),
+                        (bounds, "estimate_constants")):
+        monkeypatch.setattr(owner, name, numerical_work)
+    cfg = _probe_base(tmp_path, command)
+    if path is not None:
+        *parents, leaf = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+    assert main([write_config(tmp_path, cfg), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

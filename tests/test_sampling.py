@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from linsde import sampling
+from linsde.artifacts import write_record
 from linsde.exceptions import BatchError, CovarianceError
 from linsde.flow import integrate_flow
 from linsde.linearise import InitialCondition, linearised_distribution
@@ -29,6 +32,8 @@ class TestConfig:
             SimulationConfig(scheme="heun")
         with pytest.raises(ValueError):
             SimulationConfig(n_samples=0)
+        with pytest.raises(ValueError, match="seed"):
+            SimulationConfig(seed=-1)
 
     def test_step_rounding(self):
         cfg = SimulationConfig(dt=1e-3)
@@ -91,6 +96,28 @@ class TestCoupledSampling:
         b = sample_coupled(sine, init, 0.05, 1.0, cfg)
         np.testing.assert_array_equal(a.y_samples, b.y_samples)
         np.testing.assert_array_equal(a.l_samples, b.l_samples)
+
+    def test_noise_blocks_do_not_change_samples(self, jet, monkeypatch):
+        cfg = SimulationConfig(dt=1e-2, n_samples=20, seed=8)
+        init = InitialCondition.gaussian([0.0, 1.0], rho=0.05)
+        whole = sample_coupled(jet, init, 0.05, 1.0, cfg)
+        monkeypatch.setattr(sampling, "BLOCK_STEPS", 7)
+        blocks = sample_coupled(jet, init, 0.05, 1.0, cfg)
+        np.testing.assert_array_equal(blocks.y_samples, whole.y_samples)
+        np.testing.assert_array_equal(blocks.l_samples, whole.l_samples)
+
+    def test_peak_memory_bounded_in_horizon(self, ou):
+        cfg = SimulationConfig(dt=1e-3, n_samples=2048, seed=9)
+        init = InitialCondition.fixed([1.0])
+        peaks = []
+        for t in (1.0, 4.0):
+            tracemalloc.start()
+            try:
+                sample_coupled(ou, init, 0.1, t, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_linear_additive_paths_coincide(self, linadd):
         # linear drift + additive noise: both discretisations apply the
@@ -201,7 +228,8 @@ class TestBatchSerialisation:
                                0.05, 0.5, cfg)
         csv = tmp_path / "batch.csv"
         meta = tmp_path / "batch.json"
-        batch.write_csv(csv, sidecar_path=meta)
+        batch.write_csv(csv)
+        write_record(meta, batch.sidecar())
         back = read_batch(csv, meta)
         np.testing.assert_array_equal(back.y_samples, batch.y_samples)
         np.testing.assert_array_equal(back.l_samples, batch.l_samples)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linsde.artifacts import write_record
 from linsde.linearise import propagate_covariance
 from linsde.sampling import SimulationConfig
 from linsde.sensitivity import (GridSpec, S2Field, extract_robust_set,
@@ -108,7 +109,8 @@ class TestS2Field:
         grid = GridSpec(((0.0, 2.0, 3), (0.5, 1.5, 2)))
         field = s2_field(jet, grid, 0.5, method="mazzoni")
         csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
-        field.write_csv(csv, json_path=meta)
+        field.write_csv(csv)
+        write_record(meta, field.header())
         back = read_field(csv, meta)
         np.testing.assert_array_equal(back.values, field.values)
         assert back.grid == field.grid
@@ -171,8 +173,8 @@ class TestRobustSet:
     def test_csv_writer(self, tmp_path):
         field = self.make_field([1.0, 2.0, 3.0])
         rs = extract_robust_set(field, 2.0)
-        csv, meta = tmp_path / "r.csv", tmp_path / "r.json"
-        write_robust_csv(field, rs, csv, json_path=meta)
+        csv = tmp_path / "r.csv"
+        write_robust_csv(field, rs, csv)
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "x1,s2,robust"
         assert len(lines) == 4
