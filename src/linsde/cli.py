@@ -36,6 +36,9 @@ from .sensitivity import (GridSpec, extract_robust_set, robust_header,
 
 COMMANDS = ("simulate", "histogram", "validate-scaling", "bound",
             "s2-field", "robust-set")
+#: numpy's histogram bin estimators, accepted as ``histogram.bins``
+BIN_ESTIMATORS = ("auto", "doane", "fd", "rice", "scott", "sqrt", "stone",
+                  "sturges")
 
 
 def _get(cfg: dict, path: str, kind=None, required: bool = True, default=None):
@@ -68,8 +71,10 @@ def _checked(path: str, value, kind):
 def _numbers(cfg: dict, path: str, required: bool = True, default=None):
     """The list of numbers at ``path``, each element checked by _get's rules."""
     items = _get(cfg, path, list, required, default)
-    if items is None:
-        return None
+    return None if items is None else _number_items(path, items)
+
+
+def _number_items(path: str, items: list) -> list:
     return [_checked(f"{path}[{i}]", v, (int, float))
             for i, v in enumerate(items)]
 
@@ -96,6 +101,11 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
             mean = _numbers(cfg, "init.mean")
             rho = _get(cfg, "init.rho", (int, float), required=False)
             cov = _get(cfg, "init.covariance", list, required=False)
+            if cov is not None:
+                cov = [_number_items(f"init.covariance[{i}]",
+                                     _checked(f"init.covariance[{i}]", row,
+                                              list))
+                       for i, row in enumerate(cov)]
             ref = _numbers(cfg, "init.reference_point", required=False)
             return InitialCondition.gaussian(mean, covariance=cov, rho=rho,
                                              reference_point=ref)
@@ -174,6 +184,9 @@ def _run_histogram(run: _Run) -> None:
                 default="fd")
     if isinstance(bins, int) and bins < 1:
         raise ConfigError("histogram.bins", "must be a positive integer")
+    if isinstance(bins, str) and bins not in BIN_ESTIMATORS:
+        raise ConfigError("histogram.bins", f"unknown estimator {bins!r}; "
+                          f"available: {', '.join(BIN_ESTIMATORS)}")
     batch, law = _run_simulate(run)
     blocks = []
     for j in range(batch.y_samples.shape[1]):
@@ -295,10 +308,16 @@ def _run_bound(run: _Run) -> None:
 
 
 def _build_grid(cfg: dict, model) -> GridSpec:
-    axes = _get(cfg, "grid", list)
+    axes = []
+    for k, ax in enumerate(_get(cfg, "grid", list)):
+        path = f"grid[{k}]"
+        ax = _number_items(path, _checked(path, ax, list))
+        if len(ax) != 3:
+            raise ConfigError(path, "expected [min, max, count]")
+        axes.append((*ax[:2], _checked(f"{path}[2]", ax[2], int)))
     try:
-        grid = GridSpec(tuple(tuple(ax) for ax in axes))
-    except (TypeError, ValueError) as exc:
+        grid = GridSpec(tuple(axes))
+    except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
     if grid.dim != model.dim_state:
         raise ConfigError("grid", f"grid dimension {grid.dim} does not match "

@@ -11,13 +11,19 @@ seed and the sample index), so batches are reproducible bit-for-bit and
 independent of execution order, chunking, or worker count. Samples that
 leave the floating-point range mid-path are flagged and excluded; a flag
 rate above 1 percent aborts the batch.
+
+Several cells (initial law, noise scale, seed, sample count) that share the
+model, horizon, step, scheme and reference point are stepped together on
+one sample axis (``sample_cells``), as the scaling sweeps do; each cell's
+batch and flag count are those of the cell sampled alone.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,14 +34,15 @@ from .linearise import InitialCondition
 
 SCHEMES = ("euler_maruyama", "milstein_1d")
 
-#: samples are generated in fixed-size blocks to bound memory; the block
-#: size does not affect results (per-sample streams)
-CHUNK_SAMPLES = 2048
+#: samples, of one cell or of several, are stepped in chunks of at most
+#: this many to bound memory; the chunk size does not affect results
+#: (per-sample streams)
+CHUNK_SAMPLES = 1024
 
 #: each sample's increments are drawn in blocks of at most this many steps
 #: from its persisting stream, so memory does not grow with the horizon;
 #: the block length does not affect results
-BLOCK_STEPS = 1024
+BLOCK_STEPS = 128
 
 MAX_FLAGGED_FRACTION = 0.01
 
@@ -157,6 +164,37 @@ def draw_initial(init: InitialCondition, n_samples: int, seed: int) -> np.ndarra
     return _draw(init, factor, seed, 0, n_samples)[0]
 
 
+class Cell(NamedTuple):
+    """One batch of a multi-cell run: its initial law, noise scale, seed and
+    sample count. A non-empty ``label`` prefixes the cell's own errors."""
+
+    init: InitialCondition
+    epsilon: float
+    seed: int
+    n: int
+    label: str = ""
+
+
+def sample_cells(model, cells, t: float, config: SimulationConfig,
+                 tol: float = 1e-8) -> list[SamplePairBatch]:
+    """Coupled batches of several cells that share model, horizon, step,
+    scheme and reference point, stepped together.
+
+    The reference trajectory is solved once. All cells' samples lie on one
+    axis and advance in chunks of at most ``CHUNK_SAMPLES``; each sample
+    keeps the stream of its index within its cell, so every batch equals
+    the one ``sample_coupled`` gives for that cell alone. ``config``
+    supplies dt and the scheme; each cell its seed and sample count.
+    """
+    results = _terminal_samples(model, cells, t, config, coupled=True,
+                                tol=tol)
+    return [SamplePairBatch(y, l, float(cell.epsilon), cell.init.rho,
+                            replace(config, seed=cell.seed, n_samples=cell.n,
+                                    t_final=float(t)),
+                            n_flagged=n_flagged, model_name=model.name)
+            for cell, (y, l, n_flagged) in zip(cells, results)]
+
+
 def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
                    config: SimulationConfig, tol: float = 1e-8) -> SamplePairBatch:
     """Simulate terminal pairs of the nonlinear SDE and its linearisation.
@@ -169,38 +207,55 @@ def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
     equation has state-independent diffusion, so its correction term
     vanishes and the update coincides with Euler-Maruyama.
     """
-    y, l, n_flagged = _terminal_samples(model, init, epsilon, t, config,
-                                        coupled=True, tol=tol)
-    return SamplePairBatch(y, l, float(epsilon), init.rho,
-                           replace(config, t_final=float(t)),
-                           n_flagged=n_flagged, model_name=model.name)
+    cell = Cell(init, epsilon, config.seed, config.n_samples)
+    return sample_cells(model, [cell], t, config, tol)[0]
 
 
 def sample_nonlinear(model, init: InitialCondition, epsilon: float, t: float,
                      config: SimulationConfig, tol: float = 1e-8) -> np.ndarray:
     """Terminal samples of the nonlinear SDE alone (same streams as coupled)."""
-    y, _, _ = _terminal_samples(model, init, epsilon, t, config,
-                                coupled=False, tol=tol)
-    return y
+    cell = Cell(init, epsilon, config.seed, config.n_samples)
+    return _terminal_samples(model, [cell], t, config, coupled=False,
+                             tol=tol)[0][0]
 
 
-def _terminal_samples(model, init, epsilon, t, config, coupled, tol):
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+@contextmanager
+def _labelled(label: str):
+    """Prefix the message of an error raised in the block with ``label``."""
+    try:
+        yield
+    except Exception as exc:
+        if label:
+            exc.args = (f"{label}: {exc}",) + exc.args[1:]
+        raise
+
+
+def _terminal_samples(model, cells, t, config, coupled, tol):
+    """(y, l, n_flagged) per cell; l is None unless ``coupled``."""
     if t <= 0:
         raise ValueError("t must be positive")
     if config.t_final is not None and abs(config.t_final - t) > 1e-12:
         raise ValueError(f"config.t_final={config.t_final} conflicts with t={t}")
-    init.validate()
     n, m = model.dim_state, model.dim_noise
-    if init.dim != n:
-        raise ValueError("initial condition dimension does not match model")
     milstein = config.scheme == "milstein_1d"
     if milstein and not (n == 1 and m == 1):
         raise ValueError("milstein_1d requires a 1-D model with 1-D noise")
     if milstein and model.diffusion_gradient is None:
         raise ValueError(f"model {model.name!r} lacks a diffusion gradient, "
                          "required by milstein_1d")
+    ref_point = cells[0].init.reference_point
+    factors = []
+    for cell in cells:
+        with _labelled(cell.label):
+            if cell.epsilon < 0:
+                raise ValueError("epsilon must be non-negative")
+            cell.init.validate()
+            if cell.init.dim != n:
+                raise ValueError("initial condition dimension does not "
+                                 "match model")
+            if not np.array_equal(cell.init.reference_point, ref_point):
+                raise ValueError("cells must share one reference point")
+            factors.append(_initial_factor(cell.init))
 
     steps = config.steps_for(t)
     h = t / steps
@@ -208,21 +263,37 @@ def _terminal_samples(model, init, epsilon, t, config, coupled, tol):
     tgrid = np.linspace(0.0, t, steps + 1)
 
     if coupled:
-        path = solve_flow(model, init.reference_point, t, tol=tol,
-                          with_gradient=False)
+        path = solve_flow(model, ref_point, t, tol=tol, with_gradient=False)
         ref = path.state(tgrid)                                   # (S+1, n)
         u_ref = model.drift(ref[:-1], tgrid[:-1])                 # (S, n)
         jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])      # (S, n, n)
         sig_ref = model.diffusion(ref[:-1], tgrid[:-1])           # (S, n, m)
 
-    factor = _initial_factor(init)
-    n_total = config.n_samples
+    # one sample axis over all cells, with each sample's noise scale
+    sizes = [cell.n for cell in cells]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n_total = int(offsets[-1])
+    eps = np.repeat([float(cell.epsilon) for cell in cells], sizes)[:, None]
+    if milstein:
+        half_eps2 = np.repeat([0.5 * cell.epsilon ** 2 for cell in cells],
+                              sizes)
     y_out = np.empty((n_total, n))
     l_out = np.empty((n_total, n)) if coupled else None
 
-    for start in range(0, n_total, CHUNK_SAMPLES):
-        stop = min(start + CHUNK_SAMPLES, n_total)
-        x_init, rngs = _draw(init, factor, config.seed, start, stop - start)
+    def advance(start, stop):
+        """Step samples start:stop of the joint axis into y_out (and l_out).
+        The chunk's streams and noise buffer live only in this call, so the
+        next chunk's never meet them in memory."""
+        parts, rngs = [], []
+        for c, cell in enumerate(cells):
+            lo, hi = max(start, offsets[c]), min(stop, offsets[c + 1])
+            if lo < hi:
+                x_c, rngs_c = _draw(cell.init, factors[c], cell.seed,
+                                    int(lo - offsets[c]), int(hi - lo))
+                parts.append(x_c)
+                rngs += rngs_c
+        x_init = np.concatenate(parts)
+        eps_k = eps[start:stop]
         buf = np.empty((stop - start, min(steps, BLOCK_STEPS), m))
 
         y = x_init.copy()
@@ -238,27 +309,38 @@ def _terminal_samples(model, init, epsilon, t, config, coupled, tol):
                 dw = incr[:, k % BLOCK_STEPS, :]
                 u_y = model.drift(y, tk)
                 sig_y = model.diffusion(y, tk)
-                y_step = u_y * h + epsilon * np.einsum("sij,sj->si", sig_y, dw)
+                y_step = u_y * h + eps_k * np.einsum("sij,sj->si", sig_y, dw)
                 if milstein:
                     s_val = sig_y[:, 0, 0]
                     s_der = model.diffusion_gradient(y, tk)[:, 0, 0, 0]
-                    y_step[:, 0] += 0.5 * epsilon ** 2 * s_val * s_der \
+                    y_step[:, 0] += half_eps2[start:stop] * s_val * s_der \
                         * (dw[:, 0] ** 2 - h)
                 if coupled:
                     drift_l = u_ref[k] + (l - ref[k]) @ jac_ref[k].T
-                    l += drift_l * h + epsilon * dw @ sig_ref[k].T
+                    l += drift_l * h + eps_k * dw @ sig_ref[k].T
                 y += y_step
         y_out[start:stop] = y
         if coupled:
             l_out[start:stop] = l
 
-    keep = np.all(np.isfinite(y_out), axis=1)
-    if coupled:
-        keep &= np.all(np.isfinite(l_out), axis=1)
-    n_flagged = int(n_total - keep.sum())
-    if n_flagged > MAX_FLAGGED_FRACTION * n_total:
-        raise BatchError(
-            f"{n_flagged} of {n_total} samples went non-finite "
-            f"(> {MAX_FLAGGED_FRACTION:.0%}) for model {model.name!r} at "
-            f"epsilon={epsilon}")
-    return (y_out[keep], l_out[keep] if coupled else None, n_flagged)
+    for start in range(0, n_total, CHUNK_SAMPLES):
+        advance(start, min(start + CHUNK_SAMPLES, n_total))
+
+    results = []
+    for c, cell in enumerate(cells):
+        y = y_out[offsets[c]:offsets[c + 1]]
+        l = l_out[offsets[c]:offsets[c + 1]] if coupled else None
+        keep = np.all(np.isfinite(y), axis=1)
+        if coupled:
+            keep &= np.all(np.isfinite(l), axis=1)
+        n_flagged = int(cell.n - keep.sum())
+        if n_flagged > MAX_FLAGGED_FRACTION * cell.n:
+            with _labelled(cell.label):
+                raise BatchError(
+                    f"{n_flagged} of {cell.n} samples went non-finite "
+                    f"(> {MAX_FLAGGED_FRACTION:.0%}) for model "
+                    f"{model.name!r} at epsilon={cell.epsilon}")
+        if n_flagged:
+            y, l = y[keep], l[keep] if coupled else None
+        results.append((y, l, n_flagged))
+    return results

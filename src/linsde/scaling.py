@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .linearise import InitialCondition
-from .sampling import SamplePairBatch, SimulationConfig, sample_coupled
+from .sampling import Cell, SamplePairBatch, SimulationConfig, sample_cells
 
 __all__ = ["strong_error", "SweepResult", "run_sweep", "read_sweep",
            "ScalingFit", "fit_scaling", "bootstrap_coefficients",
@@ -131,38 +131,26 @@ def run_sweep(model, mean, rho_values: Sequence[float],
     if not epsilon_values or not rho_values:
         raise ValueError("epsilon and rho grids must be non-empty")
 
-    eps_col, rho_col, seed_col, dists = [], [], [], []
-    estimates = {o: [] for o in orders}
-    stderrs = {o: [] for o in orders}
+    cells, rho_col = [], []
     for j, rho in enumerate(rho_values):
         init = InitialCondition.fixed(mean) if rho == 0 \
             else InitialCondition.gaussian(mean, rho=rho)
         for i, eps in enumerate(epsilon_values):
-            seed = _cell_seed(config.seed, i, j)
-            cell_cfg = replace(config, seed=seed, t_final=None)
-            try:
-                batch = sample_coupled(model, init, eps, t, cell_cfg)
-            except Exception as exc:
-                exc.args = (f"sweep cell (epsilon={eps}, rho={rho}): "
-                            f"{exc}",) + exc.args[1:]
-                raise
-            dist = np.linalg.norm(batch.y_samples - batch.l_samples, axis=1)
-            eps_col.append(eps)
+            cells.append(Cell(init, eps, _cell_seed(config.seed, i, j),
+                              config.n_samples,
+                              f"sweep cell (epsilon={eps}, rho={rho})"))
             rho_col.append(rho)
-            seed_col.append(seed)
-            if keep_distances:
-                dists.append(dist)
-            for o in orders:
-                est, se = _estimate_from_distances(dist, o)
-                estimates[o].append(est)
-                stderrs[o].append(se)
-
-    results = [SweepResult(np.asarray(eps_col), np.asarray(rho_col),
-                           np.asarray(estimates[o]), np.asarray(stderrs[o]),
-                           np.asarray(seed_col, dtype=np.uint64), o,
-                           config.n_samples,
-                           dists if keep_distances else None)
-               for o in orders]
+    batches = sample_cells(model, cells, t, replace(config, t_final=None))
+    dists = [np.linalg.norm(b.y_samples - b.l_samples, axis=1)
+             for b in batches]
+    results = []
+    for o in orders:
+        stats = np.array([_estimate_from_distances(d, o) for d in dists])
+        results.append(SweepResult(
+            np.asarray([c.epsilon for c in cells]), np.asarray(rho_col),
+            stats[:, 0], stats[:, 1],
+            np.asarray([c.seed for c in cells], dtype=np.uint64), o,
+            config.n_samples, dists if keep_distances else None))
     return results[0] if scalar else results
 
 
@@ -257,7 +245,7 @@ def _resampled_estimates(sweep: SweepResult, n_boot: int,
     for b in range(n_boot):
         for c, dist in enumerate(sweep.distances):
             idx = rng.integers(0, dist.size, dist.size)
-            out[b, c] = np.mean(dist[idx] ** sweep.r)
+            out[b, c] = (dist[idx] ** sweep.r).sum() / dist.size
     return out
 
 

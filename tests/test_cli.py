@@ -289,6 +289,11 @@ BAD_INPUTS = [
     ("bound", "bound.r", True, []),
     ("bound", "bound.constants", {"k_grad_u": 1.0, "k_hess_u": 1.0,
                                   "k_grad_sigma": 0.0, "k_sigma": "x"}, []),
+    ("s2-field", "grid", [[0, 1, True], [0, 1, 2.5]], []),
+    ("s2-field", "grid", [[float("nan"), 3, 3], [0, 3, 2]], []),
+    ("histogram", "histogram.bins", "q", []),
+    ("simulate", "init", {"kind": "gaussian", "mean": [0.5],
+                          "covariance": [[float("nan")]]}, []),
 ]
 
 

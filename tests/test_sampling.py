@@ -10,8 +10,8 @@ from linsde.exceptions import BatchError, CovarianceError
 from linsde.flow import integrate_flow
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import VectorFieldModel, builtin_model
-from linsde.sampling import (SimulationConfig, draw_initial, read_batch,
-                             sample_coupled, sample_nonlinear)
+from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
+                             sample_cells, sample_coupled, sample_nonlinear)
 
 
 def cubic_drift_model():
@@ -212,6 +212,33 @@ class TestCoupledSampling:
         cfg = SimulationConfig(dt=1e-3, n_samples=2000, seed=13)
         with pytest.raises(BatchError):
             sample_coupled(model, init, 0.0, 1.0, cfg)
+
+    def test_flags_counted_and_limited_per_cell(self):
+        # the rho = 0.35 cell flags more than 1% of its samples; pooled with
+        # three clean cells the share would stay below 1%
+        model = cubic_drift_model()
+        cfg = SimulationConfig(dt=1e-3, n_samples=1000, seed=13)
+        mild = InitialCondition.gaussian([0.0], rho=0.25)
+        wild = InitialCondition.gaussian([0.0], rho=0.35)
+        clean = InitialCondition.fixed([0.0])
+        cells = [Cell(mild, 0.0, 12, 2000), Cell(clean, 0.0, 5, 1000)]
+        mixed = sample_cells(model, cells, 1.0, cfg)
+        alone = sample_coupled(model, mild, 0.0, 1.0,
+                               SimulationConfig(dt=1e-3, n_samples=2000,
+                                                seed=12))
+        assert mixed[0].n_flagged == alone.n_flagged > 0
+        assert mixed[1].n_flagged == 0 and len(mixed[1]) == 1000
+        np.testing.assert_array_equal(mixed[0].y_samples, alone.y_samples)
+        cells = [Cell(clean, 0.0, s, 1000) for s in range(3)] \
+            + [Cell(wild, 0.0, 13, 1000, "wild cell")]
+        with pytest.raises(BatchError, match="^wild cell: .* of 1000 "):
+            sample_cells(model, cells, 1.0, cfg)
+
+    def test_cells_share_reference_point(self, sine):
+        cells = [Cell(InitialCondition.fixed([0.5]), 0.1, 0, 4),
+                 Cell(InitialCondition.fixed([0.6]), 0.1, 1, 4, "second")]
+        with pytest.raises(ValueError, match="^second: .*reference point"):
+            sample_cells(sine, cells, 1.0, SimulationConfig(dt=1e-2))
 
     def test_nonlinear_only_matches_coupled_y(self, mult):
         init = InitialCondition.gaussian([2.0], rho=0.05)

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from linsde import sampling
 from linsde.models import builtin_model
 from linsde.sampling import SamplePairBatch, SimulationConfig, sample_coupled
 from linsde.scaling import (SweepResult, bootstrap_coefficients, fit_scaling,
                             read_sweep, rho_curvature_interval, run_sweep,
                             strong_error)
-from linsde.scaling import _cell_seed
+from linsde.scaling import _cell_seed, _resampled_estimates
 from linsde.linearise import InitialCondition
 
 
@@ -143,6 +146,18 @@ class TestBootstrap:
         lo, hi = np.quantile(boots[:, 1], [0.005, 0.995])
         assert lo <= beta1 <= hi
 
+    def test_resampled_estimates_equal_mean_of_resample(self):
+        rng = np.random.default_rng(5)
+        dists = [np.abs(rng.normal(1.0, 0.3, size=n)) for n in (1, 7, 300)]
+        sweep = synthetic_sweep([0.01, 0.02, 0.05], np.ones(3), r=1.5,
+                                distances=dists)
+        stream = np.random.Generator(np.random.Philox(seed=9))
+        expected = np.array([[np.mean(d[stream.integers(0, d.size, d.size)]
+                                      ** 1.5) for d in dists]
+                             for _ in range(50)])
+        np.testing.assert_array_equal(_resampled_estimates(sweep, 50, 9),
+                                      expected)
+
     def test_requires_distances(self):
         sweep = synthetic_sweep([0.01, 0.02, 0.05, 0.1], np.ones(4))
         with pytest.raises(ValueError, match="keep_distances"):
@@ -226,3 +241,50 @@ class TestRunSweep:
         cfg = SimulationConfig(dt=1e-3, n_samples=20, seed=26)
         with pytest.raises(ValueError, match="epsilon=-1"):
             run_sweep(model, [2.0], [0.0], [-1.0], 1.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("name,scheme,mean,rhos", [
+        ("sine", "euler_maruyama", [0.5], [0.0, 0.05]),
+        ("linear_multiplicative", "milstein_1d", [2.0], [0.0, 0.05]),
+        ("meandering_jet", "euler_maruyama", [0.0, 1.0], [0.0, 0.02, 0.05]),
+    ])
+    def test_cells_match_per_cell_sampling(self, monkeypatch, name, scheme,
+                                           mean, rhos):
+        # cells of 11 samples straddle chunks of 7; 33 steps straddle
+        # noise blocks of 5
+        model = builtin_model(name)
+        eps_grid, t = [0.02, 0.1], 0.33
+        cfg = SimulationConfig(dt=1e-2, n_samples=11, seed=27, scheme=scheme)
+        alone = []
+        for j, rho in enumerate(rhos):
+            init = InitialCondition.fixed(mean) if rho == 0 \
+                else InitialCondition.gaussian(mean, rho=rho)
+            for i, eps in enumerate(eps_grid):
+                cell_cfg = SimulationConfig(dt=1e-2, n_samples=11,
+                                            seed=_cell_seed(27, i, j),
+                                            scheme=scheme)
+                batch = sample_coupled(model, init, eps, t, cell_cfg)
+                alone.append(np.linalg.norm(batch.y_samples - batch.l_samples,
+                                            axis=1))
+        monkeypatch.setattr(sampling, "CHUNK_SAMPLES", 7)
+        monkeypatch.setattr(sampling, "BLOCK_STEPS", 5)
+        sweep = run_sweep(model, mean, rhos, eps_grid, t, 2.0, cfg,
+                          keep_distances=True)
+        assert len(sweep.distances) == len(alone)
+        for got, want in zip(sweep.distances, alone):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            sweep.estimates, [np.mean(d ** 2.0) for d in alone])
+
+    def test_peak_memory_bounded_in_cells(self, mult):
+        cfg = SimulationConfig(dt=1e-2, n_samples=300, seed=28)
+        peaks = []
+        for eps_grid, rho_grid in (([1e-2, 1e-1], [0.0, 0.1]),
+                                   (np.geomspace(1e-3, 1e-1, 7),
+                                    [0.0, 1e-3, 1e-2, 1e-1])):
+            tracemalloc.start()
+            try:
+                run_sweep(mult, [2.0], rho_grid, eps_grid, 1.0, 1.0, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
