@@ -74,9 +74,10 @@ def _numbers(cfg: dict, path: str, required: bool = True, default=None):
     return None if items is None else _number_items(path, items)
 
 
-def _number_items(path: str, items: list) -> list:
+def _number_items(path: str, items) -> list:
+    """``items`` if it is a list of numbers, each checked by _get's rules."""
     return [_checked(f"{path}[{i}]", v, (int, float))
-            for i, v in enumerate(items)]
+            for i, v in enumerate(_checked(path, items, list))]
 
 
 def _build_model(cfg: dict):
@@ -102,9 +103,7 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
             rho = _get(cfg, "init.rho", (int, float), required=False)
             cov = _get(cfg, "init.covariance", list, required=False)
             if cov is not None:
-                cov = [_number_items(f"init.covariance[{i}]",
-                                     _checked(f"init.covariance[{i}]", row,
-                                              list))
+                cov = [_number_items(f"init.covariance[{i}]", row)
                        for i, row in enumerate(cov)]
             ref = _numbers(cfg, "init.reference_point", required=False)
             return InitialCondition.gaussian(mean, covariance=cov, rho=rho,
@@ -311,7 +310,7 @@ def _build_grid(cfg: dict, model) -> GridSpec:
     axes = []
     for k, ax in enumerate(_get(cfg, "grid", list)):
         path = f"grid[{k}]"
-        ax = _number_items(path, _checked(path, ax, list))
+        ax = _number_items(path, ax)
         if len(ax) != 3:
             raise ConfigError(path, "expected [min, max, count]")
         axes.append((*ax[:2], _checked(f"{path}[2]", ax[2], int)))
