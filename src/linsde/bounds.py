@@ -44,22 +44,19 @@ class BoundConstants:
 
     k_grad_u bounds the spectral norm of the drift gradient (Lipschitz
     constant of the drift), k_hess_u the drift second derivatives,
-    k_grad_sigma the diffusion spatial derivatives, k_sigma the diffusion
-    itself, and k_linear_growth the joint linear-growth constant.
-    ``bdg_constant`` maps a moment order r to G_{r/2}.
+    k_grad_sigma the diffusion spatial derivatives and k_sigma the
+    diffusion itself. ``bdg_constant`` maps a moment order r to G_{r/2}.
     """
 
     k_grad_u: float
     k_hess_u: float
     k_grad_sigma: float
     k_sigma: float
-    k_linear_growth: float = 0.0
     bdg_constant: Callable[[float], float] = default_bdg_constant
     n: int = 1
 
     def __post_init__(self):
-        for name in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma",
-                     "k_linear_growth"):
+        for name in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.n < 1:
@@ -128,6 +125,8 @@ def gaussian_delta_bound(sigma0: np.ndarray, r: float) -> float:
     which holds with equality when n = 1 (where it reduces to M_r rho^r
     with rho^2 = tr(Sigma0)). Returns delta_r itself, not its r-th power.
     """
+    if r <= 0:
+        raise ValueError(f"moment order must be positive, got {r}")
     sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
     n = sigma0.shape[0]
     trace = float(np.trace(sigma0))
@@ -282,7 +281,7 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
 
     h = fd_step * max(1.0, float(np.max(np.abs(np.stack([lo, hi])))))
-    k_grad_u = k_hess_u = k_grad_sigma = k_sigma = k_lin = 0.0
+    k_grad_u = k_hess_u = k_grad_sigma = k_sigma = 0.0
     for t in times:
         grads = model.drift_gradient(points, t)
         sigmas = model.diffusion(points, t)
@@ -296,10 +295,6 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
                 f"non-finite coefficient evaluation near {bad}", point=bad, time=t)
         k_grad_u = max(k_grad_u, _max_spectral_norm(grads))
         k_sigma = max(k_sigma, _max_spectral_norm(sigmas))
-        growth = (np.linalg.norm(drifts, axis=-1)
-                  + np.linalg.norm(sigmas, axis=(-2, -1))) \
-            / (1.0 + np.linalg.norm(points, axis=-1))
-        k_lin = max(k_lin, float(np.max(growth)))
 
         hess = _central_difference(model.drift_gradient, points, t, h)
         dsig = _central_difference(model.diffusion, points, t, h)
@@ -307,5 +302,4 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
         k_grad_sigma = max(k_grad_sigma, _tensor_norm_probe(dsig, probes))
 
     return BoundConstants(k_grad_u=k_grad_u, k_hess_u=k_hess_u,
-                          k_grad_sigma=k_grad_sigma, k_sigma=k_sigma,
-                          k_linear_growth=k_lin, n=n)
+                          k_grad_sigma=k_grad_sigma, k_sigma=k_sigma, n=n)

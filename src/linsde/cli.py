@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,20 +26,23 @@ import numpy as np
 
 from . import bounds as bnd
 from .artifacts import write_record, write_table
-from .exceptions import ConfigError, LinSDEError
-from .linearise import (METHODS, GaussianState, InitialCondition,
-                        linearised_distribution)
-from .models import MODEL_NAMES, builtin_model
-from .sampling import SamplePairBatch, SimulationConfig, sample_coupled
-from .scaling import BASES, fit_scaling, run_sweep
-from .sensitivity import (GridSpec, extract_robust_set, robust_header,
-                          s2_field, write_robust_csv)
+from .exceptions import (ConfigError, CovarianceError, LinSDEError,
+                         UnknownModelError)
+from .linearise import GaussianState, InitialCondition, linearised_distribution
+from .models import builtin_model
+from .sampling import (Cell, SamplePairBatch, SimulationConfig, check_cells,
+                       sample_coupled)
+from .scaling import BASES, fit_scaling, moment_orders, run_sweep, sweep_cells
+from .sensitivity import (GridSpec, check_field, extract_robust_set,
+                          robust_header, s2_field, write_robust_csv)
 
 COMMANDS = ("simulate", "histogram", "validate-scaling", "bound",
             "s2-field", "robust-set")
 #: numpy's histogram bin estimators, accepted as ``histogram.bins``
 BIN_ESTIMATORS = ("auto", "doane", "fd", "rice", "scott", "sqrt", "stone",
                   "sturges")
+#: what the library raises when it rejects an argument
+_REJECTIONS = (ValueError, ArithmeticError, CovarianceError)
 
 
 def _get(cfg: dict, path: str, kind=None, required: bool = True, default=None):
@@ -68,6 +72,24 @@ def _checked(path: str, value, kind):
     return value
 
 
+def _section(cfg: dict, name: str, kinds: dict) -> dict:
+    """The keys of section ``name`` that the config gives, each checked by
+    _get's rules; absent keys are left to the library's defaults."""
+    node = _get(cfg, name, dict, required=False, default={})
+    return {key: _checked(f"{name}.{key}", node[key], kind)
+            for key, kind in kinds.items() if key in node}
+
+
+@contextmanager
+def _rejected(path: str, kinds=_REJECTIONS):
+    """Report the library's rejection of a config value, raised in the
+    block, as a config error at ``path``."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _numbers(cfg: dict, path: str, required: bool = True, default=None):
     """The list of numbers at ``path``, each element checked by _get's rules."""
     items = _get(cfg, path, list, required, default)
@@ -82,20 +104,15 @@ def _number_items(path: str, items) -> list:
 
 def _build_model(cfg: dict):
     name = _get(cfg, "model.name", str)
-    if name not in MODEL_NAMES:
-        raise ConfigError("model.name",
-                          f"unknown model {name!r}; available: "
-                          f"{', '.join(MODEL_NAMES)}")
     params = _get(cfg, "model.params", dict, required=False, default={})
-    try:
+    with _rejected("model.name", UnknownModelError), \
+            _rejected("model.params", (TypeError, ValueError, MemoryError)):
         return builtin_model(name, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("model.params", str(exc)) from exc
 
 
-def _build_init(cfg: dict, n: int) -> InitialCondition:
+def _build_init(cfg: dict) -> InitialCondition:
     kind = _get(cfg, "init.kind", str)
-    try:
+    with _rejected("init"):
         if kind == "fixed":
             return InitialCondition.fixed(_numbers(cfg, "init.point"))
         if kind == "gaussian":
@@ -108,24 +125,14 @@ def _build_init(cfg: dict, n: int) -> InitialCondition:
             ref = _numbers(cfg, "init.reference_point", required=False)
             return InitialCondition.gaussian(mean, covariance=cov, rho=rho,
                                              reference_point=ref)
-    except ValueError as exc:
-        raise ConfigError("init", str(exc)) from exc
     raise ConfigError("init.kind", f"expected 'fixed' or 'gaussian', got {kind!r}")
 
 
 def _build_sim(cfg: dict) -> SimulationConfig:
-    _get(cfg, "simulation", dict, required=False)
-    try:
-        return SimulationConfig(
-            dt=_get(cfg, "simulation.dt", (int, float), required=False,
-                    default=1e-3),
-            scheme=_get(cfg, "simulation.scheme", str, required=False,
-                        default="euler_maruyama"),
-            n_samples=_get(cfg, "simulation.n_samples", int, required=False,
-                           default=1000),
-            seed=_get(cfg, "simulation.seed", int, required=False, default=0))
-    except ValueError as exc:
-        raise ConfigError("simulation", str(exc)) from exc
+    given = _section(cfg, "simulation", {"dt": (int, float), "scheme": str,
+                                         "n_samples": int, "seed": int})
+    with _rejected("simulation"):
+        return SimulationConfig(**given)
 
 
 def _positive_time(cfg: dict) -> float:
@@ -167,9 +174,12 @@ class _Run:
 def _run_simulate(run: _Run) -> tuple[SamplePairBatch, GaussianState]:
     cfg = run.cfg
     model = _build_model(cfg)
-    init = _build_init(cfg, model.dim_state)
+    init = _build_init(cfg)
     t = _positive_time(cfg)
     epsilon = float(_get(cfg, "epsilon", (int, float)))
+    with _rejected(cfg["command"]):
+        check_cells(model, [Cell(init, epsilon, run.sim.seed,
+                                 run.sim.n_samples)], t, run.sim)
     batch = sample_coupled(model, init, epsilon, t, run.sim)
     law = linearised_distribution(model, init, t, epsilon)
     batch.write_csv(run.path("batch.csv"))
@@ -215,12 +225,13 @@ def _run_validate_scaling(run: _Run) -> None:
     x0 = _numbers(cfg, "x0")
     eps_grid = [float(v) for v in _numbers(cfg, "epsilon_grid")]
     rho_grid = [float(v) for v in _numbers(cfg, "rho_grid")]
-    if not eps_grid:
-        raise ConfigError("epsilon_grid", "grid must be non-empty")
-    if not rho_grid:
-        raise ConfigError("rho_grid", "grid must be non-empty")
     t = _positive_time(cfg)
+    with _rejected("validate-scaling"):
+        check_cells(model, sweep_cells(x0, rho_grid, eps_grid, run.sim), t,
+                    run.sim)
     orders = _numbers(cfg, "r", required=False, default=[1])
+    with _rejected("r"):
+        moment_orders(orders)
     bases = _get(cfg, "basis", (str, list), required=False,
                  default="const_plus_eps2")
     if isinstance(bases, str):
@@ -229,11 +240,15 @@ def _run_validate_scaling(run: _Run) -> None:
         if basis not in BASES:
             raise ConfigError("basis", f"unknown basis {basis!r}; available: "
                               f"{', '.join(sorted(BASES))}")
-        axis_len = len(eps_grid) if BASES[basis][1] == "epsilon" else len(rho_grid)
+        axis = eps_grid if BASES[basis][1] == "epsilon" else rho_grid
         need = BASES[basis][0](np.ones(1)).shape[1] + 2
-        if axis_len < need:
+        if len(set(axis)) < need:
             raise ConfigError("basis", f"basis {basis!r} needs at least "
-                              f"{need} cells along its axis, got {axis_len}")
+                              f"{need} distinct values along its axis, got "
+                              f"{len(set(axis))}")
+        if basis == "loglog_line" and min(axis) <= 0:
+            raise ConfigError("basis", "basis 'loglog_line' needs positive "
+                              "epsilon_grid values")
     sweeps = run_sweep(model, x0, rho_grid, eps_grid, t, orders, run.sim)
     fits = []
     for sweep in sweeps:
@@ -263,16 +278,10 @@ def _build_constants(cfg: dict, model) -> bnd.BoundConstants:
     if isinstance(spec, dict):
         given = {k: _get(cfg, f"bound.constants.{k}", (int, float))
                  for k in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma")}
-        try:
+        with _rejected("bound.constants"):
             return bnd.BoundConstants(
-                **given,
-                k_linear_growth=_get(cfg, "bound.constants.k_linear_growth",
-                                     (int, float), required=False,
-                                     default=0.0),
-                n=_get(cfg, "bound.constants.n", int, required=False,
-                       default=model.dim_state))
-        except ValueError as exc:
-            raise ConfigError("bound.constants", str(exc)) from exc
+                **given, n=_get(cfg, "bound.constants.n", int, required=False,
+                                default=model.dim_state))
     raise ConfigError("bound.constants",
                       "expected 'model', 'estimate' or a mapping")
 
@@ -285,19 +294,20 @@ def _run_bound(run: _Run) -> None:
     epsilon = float(_get(cfg, "bound.epsilon", (int, float)))
     rho = _get(cfg, "bound.rho", (int, float), required=False)
     if rho is not None:
-        sigma0 = float(rho) ** 2 * np.eye(model.dim_state)
-        delta_r = bnd.gaussian_delta_bound(sigma0, r)
-        delta_2r = bnd.gaussian_delta_bound(sigma0, 2 * r)
+        with _rejected("bound.rho"):
+            sigma0 = InitialCondition.gaussian(np.zeros(model.dim_state),
+                                               rho=rho).covariance
+        with _rejected("bound.r"):
+            delta_r = bnd.gaussian_delta_bound(sigma0, r)
+            delta_2r = bnd.gaussian_delta_bound(sigma0, 2 * r)
     else:
         delta_r = float(_get(cfg, "bound.delta_r", (int, float),
                              required=False, default=0.0))
         delta_2r = float(_get(cfg, "bound.delta_2r", (int, float),
                               required=False, default=0.0))
     constants = _build_constants(cfg, model)
-    try:
+    with _rejected("bound", ValueError):
         breakdown = bnd.bound_rhs(r, t, epsilon, delta_r, delta_2r, constants)
-    except ValueError as exc:
-        raise ConfigError("bound", str(exc)) from exc
     payload = breakdown.to_json()
     payload["constants"] = {
         "k_grad_u": constants.k_grad_u, "k_hess_u": constants.k_hess_u,
@@ -306,7 +316,7 @@ def _run_bound(run: _Run) -> None:
     run.write_json("bound.json", payload)
 
 
-def _build_grid(cfg: dict, model) -> GridSpec:
+def _build_grid(cfg: dict) -> GridSpec:
     axes = []
     for k, ax in enumerate(_get(cfg, "grid", list)):
         path = f"grid[{k}]"
@@ -314,39 +324,26 @@ def _build_grid(cfg: dict, model) -> GridSpec:
         if len(ax) != 3:
             raise ConfigError(path, "expected [min, max, count]")
         axes.append((*ax[:2], _checked(f"{path}[2]", ax[2], int)))
-    try:
-        grid = GridSpec(tuple(axes))
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from exc
-    if grid.dim != model.dim_state:
-        raise ConfigError("grid", f"grid dimension {grid.dim} does not match "
-                          f"model dimension {model.dim_state}")
-    return grid
+    with _rejected("grid"):
+        return GridSpec(tuple(axes))
 
 
 def _run_s2_field(run: _Run, with_robust: bool) -> None:
     cfg = run.cfg
     model = _build_model(cfg)
-    grid = _build_grid(cfg, model)
+    grid = _build_grid(cfg)
     t = _positive_time(cfg)
-    workers = _get(cfg, "workers", int, required=False, default=1)
-    if workers < 1:
-        raise ConfigError("workers", "must be a positive integer")
-    _get(cfg, "field", dict, required=False)
-    method = _get(cfg, "field.method", str, required=False, default="rk45")
-    if method not in METHODS:
-        raise ConfigError("field.method", f"unknown method {method!r}")
-    tol = _get(cfg, "field.tol", (int, float), required=False, default=1e-6)
-    dt = _get(cfg, "field.dt", (int, float), required=False, default=2e-3)
-    for name, value in (("field.tol", tol), ("field.dt", dt)):
-        if value <= 0:
-            raise ConfigError(name, "must be positive")
+    options = _section(cfg, "field", {"method": str, "tol": (int, float),
+                                      "dt": (int, float)})
+    if "workers" in cfg:
+        options["workers"] = _get(cfg, "workers", int)
+    with _rejected(cfg["command"]):
+        check_field(model, grid, **options)
     if with_robust:
         threshold = _get(cfg, "threshold", (int, float))
         if threshold < 0:
             raise ConfigError("threshold", "must be non-negative")
-    field = s2_field(model, grid, t, workers=workers, tol=tol, method=method,
-                     dt=dt)
+    field = s2_field(model, grid, t, **options)
     if with_robust:
         robust = extract_robust_set(field, float(threshold))
         write_robust_csv(field, robust, run.path("robust.csv"))
@@ -368,7 +365,9 @@ _DISPATCH = {
 
 def _apply_overrides(cfg: dict, args) -> dict:
     if args.seed is not None:
-        cfg.setdefault("simulation", {})["seed"] = args.seed
+        sim = cfg.setdefault("simulation", {})
+        if isinstance(sim, dict):  # anything else is a config error later
+            sim["seed"] = args.seed
     if args.workers is not None:
         cfg["workers"] = args.workers
     if args.out is not None:
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LinSDEError, ValueError, ArithmeticError) as exc:
+    except (LinSDEError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

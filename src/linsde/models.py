@@ -97,7 +97,7 @@ def _sine_model() -> VectorFieldModel:
         return (et * (1.0 + tn ** 2) / (1.0 + (et * tn) ** 2))[..., None]
 
     constants = BoundConstants(k_grad_u=1.0, k_hess_u=1.0, k_grad_sigma=0.0,
-                               k_sigma=1.0, k_linear_growth=2.0, n=1)
+                               k_sigma=1.0, n=1)
     return VectorFieldModel(
         name="sine", dim_state=1, dim_noise=1, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
@@ -130,7 +130,7 @@ def _linear_multiplicative_model() -> VectorFieldModel:
         return np.broadcast_to(np.exp(0.5 * t), x.shape)[..., None].copy()
 
     constants = BoundConstants(k_grad_u=0.5, k_hess_u=0.0, k_grad_sigma=1.0,
-                               k_sigma=1.0, k_linear_growth=1.0, n=1)
+                               k_sigma=1.0, n=1)
     return VectorFieldModel(
         name="linear_multiplicative", dim_state=1, dim_noise=1, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
@@ -143,7 +143,7 @@ def _linear_multiplicative_model() -> VectorFieldModel:
 def _jet_constants(p: MeanderingJetParams) -> BoundConstants:
     # entrywise amplitude bounds; Frobenius of the bound matrix dominates
     # the spectral norm, so these are valid (crude) suprema
-    c, A, K, e, k1, l1 = p.c, p.A, p.K, p.eps_mj, p.k1, p.l1
+    A, K, e, k1, l1 = p.A, p.K, p.eps_mj, p.k1, p.l1
     g = np.array([[A * K + e * l1 * k1, A + e * l1 ** 2],
                   [A * K ** 2 + e * k1 ** 2, A * K + e * k1 * l1]])
     k_grad_u = float(np.linalg.norm(g))
@@ -157,10 +157,8 @@ def _jet_constants(p: MeanderingJetParams) -> BoundConstants:
                                      + h[3] ** 2 + 2 * h[4] ** 2 + h[5] ** 2)))
     k_grad_sigma = float(math.sqrt(K ** 2 + 1.0 + K ** 4 + K ** 2))
     k_sigma = float(math.sqrt(1.0 + 1.0 + K ** 2))
-    k_lin = float(math.sqrt((c + A + e * l1) ** 2 + (A * K + e * k1) ** 2)) + k_sigma
     return BoundConstants(k_grad_u=k_grad_u, k_hess_u=k_hess_u,
-                          k_grad_sigma=k_grad_sigma, k_sigma=k_sigma,
-                          k_linear_growth=k_lin, n=2)
+                          k_grad_sigma=k_grad_sigma, k_sigma=k_sigma, n=2)
 
 
 def _meandering_jet_model(**kwargs) -> VectorFieldModel:
@@ -242,7 +240,7 @@ def _ornstein_uhlenbeck_model(a: float = 1.0) -> VectorFieldModel:
         return np.broadcast_to(np.exp(-a * t), x.shape)[..., None].copy()
 
     constants = BoundConstants(k_grad_u=a, k_hess_u=0.0, k_grad_sigma=0.0,
-                               k_sigma=1.0, k_linear_growth=max(a, 1.0), n=1)
+                               k_sigma=1.0, n=1)
     return VectorFieldModel(
         name="ornstein_uhlenbeck", dim_state=1, dim_noise=1, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
@@ -280,7 +278,7 @@ def _brownian_model(dim: int = 1) -> VectorFieldModel:
         return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
 
     constants = BoundConstants(k_grad_u=0.0, k_hess_u=0.0, k_grad_sigma=0.0,
-                               k_sigma=1.0, k_linear_growth=1.0, n=dim)
+                               k_sigma=1.0, n=dim)
     return VectorFieldModel(
         name="brownian", dim_state=dim, dim_noise=dim, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
@@ -337,9 +335,7 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
 
     constants = BoundConstants(
         k_grad_u=float(np.linalg.norm(A, 2)), k_hess_u=0.0, k_grad_sigma=0.0,
-        k_sigma=float(np.linalg.norm(S, 2)),
-        k_linear_growth=float(np.linalg.norm(A, 2) + np.linalg.norm(b)
-                              + np.linalg.norm(S, 2)), n=n)
+        k_sigma=float(np.linalg.norm(S, 2)), n=n)
     return VectorFieldModel(
         name="linear_additive", dim_state=n, dim_noise=m, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,

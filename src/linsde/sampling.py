@@ -230,8 +230,11 @@ def _labelled(label: str):
         raise
 
 
-def _terminal_samples(model, cells, t, config, coupled, tol):
-    """(y, l, n_flagged) per cell; l is None unless ``coupled``."""
+def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
+    """Reject cells that cannot be sampled together to horizon ``t`` with
+    ``config``'s step and scheme; a cell's own errors carry its label."""
+    if not cells:
+        raise ValueError("no cells to sample")
     if t <= 0:
         raise ValueError("t must be positive")
     if config.t_final is not None and abs(config.t_final - t) > 1e-12:
@@ -244,18 +247,26 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
         raise ValueError(f"model {model.name!r} lacks a diffusion gradient, "
                          "required by milstein_1d")
     ref_point = cells[0].init.reference_point
-    factors = []
     for cell in cells:
         with _labelled(cell.label):
             if cell.epsilon < 0:
                 raise ValueError("epsilon must be non-negative")
             cell.init.validate()
             if cell.init.dim != n:
-                raise ValueError("initial condition dimension does not "
-                                 "match model")
+                raise ValueError(f"initial condition dimension "
+                                 f"{cell.init.dim} does not match the model "
+                                 f"dimension {n}")
             if not np.array_equal(cell.init.reference_point, ref_point):
                 raise ValueError("cells must share one reference point")
-            factors.append(_initial_factor(cell.init))
+
+
+def _terminal_samples(model, cells, t, config, coupled, tol):
+    """(y, l, n_flagged) per cell; l is None unless ``coupled``."""
+    check_cells(model, cells, t, config)
+    n, m = model.dim_state, model.dim_noise
+    milstein = config.scheme == "milstein_1d"
+    ref_point = cells[0].init.reference_point
+    factors = [_initial_factor(cell.init) for cell in cells]
 
     steps = config.steps_for(t)
     h = t / steps

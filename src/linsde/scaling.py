@@ -19,7 +19,8 @@ from .artifacts import write_table
 from .linearise import InitialCondition
 from .sampling import Cell, SamplePairBatch, SimulationConfig, sample_cells
 
-__all__ = ["strong_error", "SweepResult", "run_sweep", "read_sweep",
+__all__ = ["strong_error", "moment_orders", "SweepResult", "sweep_cells",
+           "run_sweep", "read_sweep",
            "ScalingFit", "fit_scaling", "bootstrap_coefficients",
            "rho_curvature_interval", "BASES"]
 
@@ -32,10 +33,18 @@ def strong_error(batch: SamplePairBatch, r: float) -> tuple[float, float]:
     """
     if len(batch) == 0:
         raise ValueError("cannot estimate the strong error of an empty batch")
-    if r < 0:
-        raise ValueError("moment order must be non-negative")
+    moment_orders(r)
     dist = np.linalg.norm(batch.y_samples - batch.l_samples, axis=1)
     return _estimate_from_distances(dist, r)
+
+
+def moment_orders(r) -> list[float]:
+    """One moment order or a sequence of them, as a list of floats; every
+    order must be non-negative."""
+    orders = [float(o) for o in np.atleast_1d(np.asarray(r, dtype=float))]
+    if any(o < 0 for o in orders):
+        raise ValueError("moment order must be non-negative")
+    return orders
 
 
 def _estimate_from_distances(dist: np.ndarray, r: float) -> tuple[float, float]:
@@ -110,28 +119,22 @@ def _cell_seed(master: int, i_eps: int, j_rho: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def run_sweep(model, mean, rho_values: Sequence[float],
-              epsilon_values: Sequence[float], t: float, r,
-              config: SimulationConfig, keep_distances: bool = False):
-    """Coupled batch plus strong-error estimate for every (epsilon, rho) cell.
+def sweep_cells(mean, rho_values: Sequence[float],
+                epsilon_values: Sequence[float],
+                config: SimulationConfig) -> list[Cell]:
+    """The cells of a sweep, rho-major: one per (epsilon, rho) pair.
 
     rho = 0 selects a fixed initial condition at ``mean``; rho > 0 a
-    Gaussian with covariance rho^2 I about it. Each cell runs on its own
-    seed derived from ``config.seed`` and the cell indices, so cells are
+    Gaussian with covariance rho^2 I about it. Each cell has its own seed
+    derived from ``config.seed`` and the cell indices, so cells are
     independent and reproducible regardless of evaluation order.
-
-    ``r`` may be a single moment order or a sequence of orders; a sequence
-    returns one SweepResult per order, all sharing the same cell batches.
     """
-    orders = [float(o) for o in np.atleast_1d(np.asarray(r, dtype=float))]
-    scalar = np.ndim(r) == 0
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     epsilon_values = [float(e) for e in epsilon_values]
     rho_values = [float(x) for x in rho_values]
     if not epsilon_values or not rho_values:
         raise ValueError("epsilon and rho grids must be non-empty")
-
-    cells, rho_col = [], []
+    cells = []
     for j, rho in enumerate(rho_values):
         init = InitialCondition.fixed(mean) if rho == 0 \
             else InitialCondition.gaussian(mean, rho=rho)
@@ -139,7 +142,21 @@ def run_sweep(model, mean, rho_values: Sequence[float],
             cells.append(Cell(init, eps, _cell_seed(config.seed, i, j),
                               config.n_samples,
                               f"sweep cell (epsilon={eps}, rho={rho})"))
-            rho_col.append(rho)
+    return cells
+
+
+def run_sweep(model, mean, rho_values: Sequence[float],
+              epsilon_values: Sequence[float], t: float, r,
+              config: SimulationConfig, keep_distances: bool = False):
+    """Coupled batch plus strong-error estimate for every cell of
+    :func:`sweep_cells`.
+
+    ``r`` may be a single moment order or a sequence of orders; a sequence
+    returns one SweepResult per order, all sharing the same cell batches.
+    """
+    orders = moment_orders(r)
+    scalar = np.ndim(r) == 0
+    cells = sweep_cells(mean, rho_values, epsilon_values, config)
     batches = sample_cells(model, cells, t, replace(config, t_final=None))
     dists = [np.linalg.norm(b.y_samples - b.l_samples, axis=1)
              for b in batches]
@@ -147,7 +164,9 @@ def run_sweep(model, mean, rho_values: Sequence[float],
     for o in orders:
         stats = np.array([_estimate_from_distances(d, o) for d in dists])
         results.append(SweepResult(
-            np.asarray([c.epsilon for c in cells]), np.asarray(rho_col),
+            np.asarray([c.epsilon for c in cells]),
+            np.repeat(np.asarray(rho_values, dtype=float),
+                      len(epsilon_values)),
             stats[:, 0], stats[:, 1],
             np.asarray([c.seed for c in cells], dtype=np.uint64), o,
             config.n_samples, dists if keep_distances else None))

@@ -31,7 +31,7 @@ from .linearise import (METHODS, InitialCondition, _midpoint_step,
 from .models import builtin_model, MODEL_NAMES
 from .sampling import SimulationConfig, sample_nonlinear
 
-__all__ = ["s2_point", "GridSpec", "S2Field", "s2_field",
+__all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
            "robust_header", "read_field"]
 
@@ -185,6 +185,23 @@ def _pool_chunk(payload):
     return _field_chunk(builtin_model(name, **params), *args)
 
 
+def check_field(model, grid: GridSpec, workers: int = 1,
+                tol: float = FIELD_TOL, method: str = "rk45",
+                dt: float = 2e-3) -> None:
+    """Reject :func:`s2_field` arguments that cannot give a field; the
+    defaults are :func:`s2_field`'s."""
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
+    if method not in METHODS:
+        raise ValueError(f"unknown field method {method!r}; available: "
+                         f"{', '.join(METHODS)}")
+    if grid.dim != model.dim_state:
+        raise ValueError(f"grid dimension {grid.dim} does not match the "
+                         f"model dimension {model.dim_state}")
+    if tol <= 0 or dt <= 0:
+        raise ValueError(f"tol and dt must be positive, got {tol} and {dt}")
+
+
 def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
              tol: float = FIELD_TOL, method: str = "rk45",
              dt: float = 2e-3) -> S2Field:
@@ -198,13 +215,8 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     for any worker count. Individual node failures are recorded as missing
     values; more than 0.1 percent missing raises FieldError.
     """
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if method not in METHODS:
-        raise ValueError(f"unknown field method {method!r}")
+    check_field(model, grid, workers, tol, method, dt)
     nodes = grid.points()
-    if nodes.shape[1] != model.dim_state:
-        raise ValueError("grid dimension does not match the model")
     chunk = CHUNK_NODES[method]
     blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]
 

@@ -66,6 +66,11 @@ class TestGaussianDeltaBound:
         got = gaussian_delta_bound(np.array([[rho ** 2]]), r)
         assert got == pytest.approx(oracle ** (1 / r), rel=1e-8)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_non_positive_order_rejected(self, r):
+        with pytest.raises(ValueError, match="moment order"):
+            gaussian_delta_bound(np.array([[0.01]]), r)
+
     def test_multivariate_is_upper_bound(self):
         # Monte-Carlo L_r distance never exceeds the trace bound
         rng = np.random.default_rng(3)

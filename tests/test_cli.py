@@ -1,7 +1,13 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linsde import bounds, cli
 from linsde.artifacts import write_record
@@ -294,22 +300,60 @@ BAD_INPUTS = [
     ("histogram", "histogram.bins", "q", []),
     ("simulate", "init", {"kind": "gaussian", "mean": [0.5],
                           "covariance": [[float("nan")]]}, []),
+    # rejected by the sampler's own cell checks, run before any stepping
+    ("simulate", "epsilon", -1, []),
+    ("simulate", "init", {"kind": "fixed", "point": [0.5, 1]}, []),
+    ("simulate", "init", {"kind": "fixed", "point": []}, []),
+    ("simulate", "init", {"kind": "gaussian", "mean": [0.5],
+                          "covariance": [[-1]]}, []),
+    ("simulate", None, {"model": {"name": "meandering_jet"},
+                        "init": {"kind": "fixed", "point": [0.0, 1.0]},
+                        "simulation": {"scheme": "milstein_1d"}}, []),
+    ("validate-scaling", "x0", [0.5, 1], []),
+    ("validate-scaling", "epsilon_grid", [0.01, -0.03, 0.06, 0.1], []),
+    ("validate-scaling", "rho_grid", [0.0, -0.1], []),
+    # rejected by the other library checks, before the sweep or the bound
+    ("bound", "bound", {"r": 0, "t": 1.0, "epsilon": 0.05, "rho": 0.1}, []),
+    ("bound", "bound.rho", -1, []),
+    ("validate-scaling", "r", [-1], []),
+    ("validate-scaling", "epsilon_grid", [0.05] * 4, []),
+    ("validate-scaling", None, {"epsilon_grid": [0, 0.03, 0.06, 0.1],
+                                "basis": "loglog_line"}, []),
+    # a 10**9-dimensional Brownian motion needs about 7 EiB for its
+    # diffusion matrix: the allocation fails at once on any machine
+    ("simulate", "model", {"name": "brownian", "params": {"dim": 10 ** 9}},
+     []),
+    ("simulate", "simulation", 5, ["--seed", "3"]),
+    # rho ** 2 overflows: found by the property test below
+    ("simulate", "init.rho", 1e200, []),
+    ("validate-scaling", "rho_grid", [0.0, 1e200], []),
 ]
+
+
+class _NumericalWork(Exception):
+    """A numerical entry point of the command line was reached."""
+
+
+def _stub_numerical_work(monkeypatch, error=_NumericalWork):
+    """Make every numerical entry point of the command line raise ``error``."""
+    def numerical_work(*args, **kwargs):
+        raise error("numerical work started")
+
+    for owner, name in ((cli, "sample_coupled"), (cli, "run_sweep"),
+                        (cli, "s2_field"), (bounds, "bound_rhs"),
+                        (bounds, "estimate_constants")):
+        monkeypatch.setattr(owner, name, numerical_work)
 
 
 @pytest.mark.parametrize("command,path,value,argv", BAD_INPUTS)
 def test_bad_input_exits_2_before_numerical_work(tmp_path, monkeypatch,
                                                  capsys, command, path,
                                                  value, argv):
-    def numerical_work(*args, **kwargs):
-        raise AssertionError("numerical work started on a bad config")
-
-    for owner, name in ((cli, "sample_coupled"), (cli, "run_sweep"),
-                        (cli, "s2_field"), (bounds, "bound_rhs"),
-                        (bounds, "estimate_constants")):
-        monkeypatch.setattr(owner, name, numerical_work)
+    _stub_numerical_work(monkeypatch)
     cfg = _probe_base(tmp_path, command)
-    if path is not None:
+    if path is None:
+        cfg.update(value or {})
+    else:
         *parents, leaf = path.split(".")
         node = cfg
         for part in parents:
@@ -317,3 +361,75 @@ def test_bad_input_exits_2_before_numerical_work(tmp_path, monkeypatch,
         node[leaf] = value
     assert main([write_config(tmp_path, cfg), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_failed_allocation_exits_3(tmp_path, capsys):
+    # 10**15 samples need about 7 PiB: the allocation fails at once on any
+    # machine
+    cfg = simulate_config(tmp_path)
+    cfg["simulation"]["n_samples"] = 10 ** 15
+    assert main([write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _leaves(node, path=()):
+    """Paths of the values of a config that are not sections."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_DELETE = object()
+#: integers that can end up as sizes are either small or far too large to
+#: allocate, so no example ever allocates much
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.integers(10 ** 9, 10 ** 12), st.floats(),
+    st.sampled_from([0.0, -1.0, 0.5, 1e-300, 1e200, -1e200, float("nan"),
+                     float("inf")]),
+    st.sampled_from(["fixed", "gaussian", "rk45", "mazzoni", "milstein_1d",
+                     "sine", "brownian", "meandering_jet", "simulate",
+                     "estimate", "loglog_line", "fd"]),
+    st.text("abcxyz_", max_size=4))
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=4),
+    st.lists(st.lists(_SCALARS, max_size=4), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "kind", "point", "dt"]),
+                    _SCALARS, max_size=2),
+    st.just(_DELETE))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A probe config with one leaf replaced by an arbitrary value or
+    deleted."""
+    cfg = _probe_base(Path("."), draw(st.sampled_from(cli.COMMANDS)))
+    *parents, leaf = draw(st.sampled_from(sorted(_leaves(cfg))))
+    node = cfg
+    for part in parents:
+        node = node[part]
+    value = draw(_VALUES)
+    if value is _DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return cfg
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(_mutated_configs())
+def test_mutated_config_exits_2_or_reaches_numerical_work(cfg):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(tmp)  # relative output directories land here
+        _stub_numerical_work(monkeypatch)
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err):
+                code = main([write_config(Path(tmp), cfg)])
+        except _NumericalWork:
+            return
+        assert code == 2 and err.getvalue().startswith("config error:"), \
+            (code, err.getvalue())

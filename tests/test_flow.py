@@ -50,6 +50,19 @@ def test_flow_matches_analytic_flow(name, params):
                                    atol=1e-7, rtol=1e-7)
 
 
+@pytest.mark.parametrize("name,params", [m for m in ALL_MODELS
+                                         if m[0] != "meandering_jet"])
+def test_flow_gradient_matches_analytic_gradient(name, params):
+    # the variational solve against the closed-form flow gradient
+    model, x0 = model_and_point(name, **params)
+    n = model.dim_state
+    for t in (0.25, 1.0):
+        got = integrate_flow_with_gradient(model, x0, t).gradient
+        np.testing.assert_allclose(
+            got, model.analytic_flow_gradient(x0, t).reshape(n, n),
+            rtol=1e-7)
+
+
 def test_mult_gradient_exponential(mult):
     res = integrate_flow_with_gradient(mult, [2.0], 1.0)
     assert res.gradient[0, 0] == pytest.approx(math.exp(0.5), rel=1e-8)

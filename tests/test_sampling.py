@@ -234,6 +234,20 @@ class TestCoupledSampling:
         with pytest.raises(BatchError, match="^wild cell: .* of 1000 "):
             sample_cells(model, cells, 1.0, cfg)
 
+    def test_cells_checked_before_any_solve(self, monkeypatch, sine):
+        monkeypatch.setattr(sampling, "solve_flow", None)
+        cfg = SimulationConfig(dt=1e-2)
+        bad = [([Cell(InitialCondition.fixed([0.5, 1.0]), 0.1, 0, 4)],
+                "dimension"),
+               ([Cell(InitialCondition.fixed([0.5]), -0.1, 0, 4, "c")],
+                "^c: epsilon"),
+               ([], "no cells")]
+        for cells, message in bad:
+            with pytest.raises(ValueError, match=message):
+                sampling.check_cells(sine, cells, 1.0, cfg)
+            with pytest.raises(ValueError, match=message):
+                sample_cells(sine, cells, 1.0, cfg)
+
     def test_cells_share_reference_point(self, sine):
         cells = [Cell(InitialCondition.fixed([0.5]), 0.1, 0, 4),
                  Cell(InitialCondition.fixed([0.6]), 0.1, 1, 4, "second")]

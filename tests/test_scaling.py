@@ -7,8 +7,8 @@ from linsde import sampling
 from linsde.models import builtin_model
 from linsde.sampling import SamplePairBatch, SimulationConfig, sample_coupled
 from linsde.scaling import (SweepResult, bootstrap_coefficients, fit_scaling,
-                            read_sweep, rho_curvature_interval, run_sweep,
-                            strong_error)
+                            moment_orders, read_sweep, rho_curvature_interval,
+                            run_sweep, strong_error, sweep_cells)
 from linsde.scaling import _cell_seed, _resampled_estimates
 from linsde.linearise import InitialCondition
 
@@ -235,6 +235,27 @@ class TestRunSweep:
         cfg = SimulationConfig(n_samples=10)
         with pytest.raises(ValueError, match="non-empty"):
             run_sweep(sine, [0.5], [], [0.1], 1.0, 1.0, cfg)
+
+    def test_sweep_cells_rho_major_with_cell_seeds(self):
+        cfg = SimulationConfig(n_samples=7, seed=5)
+        cells = sweep_cells([0.5], [0.0, 0.1], [0.01, 0.02, 0.03], cfg)
+        assert [(c.epsilon, c.init.rho) for c in cells] == [
+            (e, r) for r in (0.0, 0.1) for e in (0.01, 0.02, 0.03)]
+        assert [c.seed for c in cells] == [
+            _cell_seed(5, i, j) for j in range(2) for i in range(3)]
+        assert all(c.n == 7 for c in cells)
+        assert cells[0].init.kind == "fixed"
+        assert cells[3].init.kind == "gaussian"
+        assert cells[4].label == "sweep cell (epsilon=0.02, rho=0.1)"
+
+    def test_negative_order_rejected_before_sampling(self, monkeypatch,
+                                                     sine):
+        monkeypatch.setattr(sampling, "solve_flow", None)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_sweep(sine, [0.5], [0.0], [0.1], 1.0, [1.0, -1.0],
+                      SimulationConfig(n_samples=10))
+        assert moment_orders(2) == [2.0]
+        assert moment_orders([1, 0.5]) == [1.0, 0.5]
 
     def test_cell_failure_annotated(self):
         model = builtin_model("linear_multiplicative")

@@ -1,14 +1,17 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from linsde import sensitivity
 from linsde.artifacts import write_record
 from linsde.linearise import propagate_covariance
 from linsde.sampling import SimulationConfig
-from linsde.sensitivity import (GridSpec, S2Field, extract_robust_set,
-                                read_field, s2_empirical_limit, s2_field,
-                                s2_point, write_robust_csv)
+from linsde.sensitivity import (GridSpec, S2Field, check_field,
+                                extract_robust_set, read_field,
+                                s2_empirical_limit, s2_field, s2_point,
+                                write_robust_csv)
 
 OU_S2_T1 = (1.0 - math.exp(-2.0)) / 2.0
 
@@ -104,6 +107,30 @@ class TestS2Field:
     def test_dimension_mismatch(self, sine):
         with pytest.raises(ValueError, match="dimension"):
             s2_field(sine, GridSpec(((0.0, 1.0, 2), (0.0, 1.0, 2))), 1.0)
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("workers", 0, "workers"), ("method", "euler", "method"),
+        ("tol", 0.0, "tol and dt"), ("dt", -1e-3, "tol and dt")])
+    def test_arguments_checked_before_any_node(self, monkeypatch, jet,
+                                               option, value, message):
+        # with tol = 0 every node used to fail and the field raised
+        # FieldError only after the whole grid was solved
+        monkeypatch.setattr(sensitivity, "_field_chunk", None)
+        grid = GridSpec(((0.0, 1.0, 2), (0.0, 1.0, 2)))
+        with pytest.raises(ValueError, match=message):
+            s2_field(jet, grid, 1.0, **{option: value})
+
+    def test_check_field_defaults_are_s2_fields(self):
+        def defaults(fn):
+            return {k: p.default for k, p in
+                    inspect.signature(fn).parameters.items()
+                    if p.default is not p.empty}
+
+        assert defaults(check_field) == {
+            k: v for k, v in defaults(s2_field).items()
+            if k in defaults(check_field)}
+        assert set(defaults(check_field)) == {"workers", "tol", "method",
+                                              "dt"}
 
     def test_csv_roundtrip(self, tmp_path, jet):
         grid = GridSpec(((0.0, 2.0, 3), (0.5, 1.5, 2)))
