@@ -160,6 +160,18 @@ def lemma_constants(q: float, t: float, constants: BoundConstants) -> tuple[floa
     return h1, h2
 
 
+def check_bound(r: float, t: float, epsilon: float = 0.0,
+                delta_r: float = 0.0, delta_2r: float = 0.0) -> None:
+    """Reject arguments outside the bound's domain: r >= 1, t >= 0 and
+    epsilon, delta_r, delta_2r >= 0."""
+    if r < 1:
+        raise ValueError(f"moment order must satisfy r >= 1, got {r}")
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    if epsilon < 0 or delta_r < 0 or delta_2r < 0:
+        raise ValueError("epsilon, delta_r and delta_2r must be non-negative")
+
+
 def theorem_constants(r: float, t: float, constants: BoundConstants) -> tuple[float, float, float]:
     """Constants (D1, D2, D3) multiplying the three terms of the bound.
 
@@ -174,10 +186,7 @@ def theorem_constants(r: float, t: float, constants: BoundConstants) -> tuple[fl
     because H1 and H2 both carry a positive power of t; the limit value 0
     is returned for all three constants at t = 0.
     """
-    if r < 1:
-        raise ValueError(f"moment order must satisfy r >= 1, got {r}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    check_bound(r, t)
     if t == 0.0:
         return 0.0, 0.0, 0.0
     g = constants.bdg_constant(r)
@@ -202,7 +211,7 @@ def bound_rhs(r: float, t: float, epsilon: float, delta_r: float,
     ----------
     r : moment order, >= 1.
     t : horizon time, >= 0.
-    epsilon : ongoing-noise scale.
+    epsilon : ongoing-noise scale, >= 0.
     delta_r, delta_2r : L_r and L_{2r} distances of the initial condition
         from the reference point (0 for a fixed initial condition; for a
         Gaussian initial condition use :func:`gaussian_delta_bound`).
@@ -213,8 +222,7 @@ def bound_rhs(r: float, t: float, epsilon: float, delta_r: float,
     kills the cross term and its share of the ongoing term. With both zero
     the total is exactly 0 (the linearisation is exact).
     """
-    if epsilon < 0 or delta_r < 0 or delta_2r < 0:
-        raise ValueError("epsilon, delta_r and delta_2r must be non-negative")
+    check_bound(r, t, epsilon, delta_r, delta_2r)
     d1, d2, d3 = theorem_constants(r, t, constants)
     hess_pow = constants.k_hess_u ** r
     gsig_pow = constants.k_grad_sigma ** r

@@ -305,9 +305,10 @@ def _run_bound(run: _Run) -> None:
                              required=False, default=0.0))
         delta_2r = float(_get(cfg, "bound.delta_2r", (int, float),
                               required=False, default=0.0))
-    constants = _build_constants(cfg, model)
     with _rejected("bound", ValueError):
-        breakdown = bnd.bound_rhs(r, t, epsilon, delta_r, delta_2r, constants)
+        bnd.check_bound(r, t, epsilon, delta_r, delta_2r)
+    constants = _build_constants(cfg, model)
+    breakdown = bnd.bound_rhs(r, t, epsilon, delta_r, delta_2r, constants)
     payload = breakdown.to_json()
     payload["constants"] = {
         "k_grad_u": constants.k_grad_u, "k_hess_u": constants.k_hess_u,

@@ -4,13 +4,18 @@ Both equations are advanced with the same fixed-step scheme, the same Wiener
 increments, and the same initial draw, so the pathwise terminal difference
 isolates the linearisation error. The linearised drift and diffusion are
 evaluated along the reference deterministic trajectory, which is integrated
-once to high accuracy and shared by all samples.
+once to high accuracy and shared by all samples. The linearised scheme is
+affine in the initial state and the increments, so its terminal state comes
+from the discrete propagator of the reference (the product of the step
+matrices I + h grad u along it), computed once: per step a sample only
+adds its increment times that step's gain.
 
-Each sample owns a counter-based random stream (Philox keyed by the master
-seed and the sample index), so batches are reproducible bit-for-bit and
-independent of execution order, chunking, or worker count. Samples that
-leave the floating-point range mid-path are flagged and excluded; a flag
-rate above 1 percent aborts the batch.
+Each sample owns a counter-based random stream, Philox keyed by
+``SeedSequence(entropy=seed, spawn_key=(index,))``, so batches are
+reproducible bit-for-bit and independent of execution order, chunking, or
+worker count; the keys of a chunk's samples come from one vectorised pass of
+the SeedSequence hash. Samples that leave the floating-point range mid-path
+are flagged and excluded; a flag rate above 1 percent aborts the batch.
 
 Several cells (initial law, noise scale, seed, sample count) that share the
 model, horizon, step, scheme and reference point are stepped together on
@@ -126,10 +131,55 @@ def read_batch(csv_path, sidecar_path) -> SamplePairBatch:
                            meta["rho"], cfg, meta["n_flagged"], meta["model"])
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one sample index."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(seed=seq))
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands a bit generator one precomputed key."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _stream_keys(seed: int, start: int, size: int) -> np.ndarray:
+    """Philox keys (size, 2) of sample indices start, ..., start + size - 1.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(start + i,))
+    .generate_state(2, np.uint64)``. NumPy's SeedSequence hash runs once on
+    the seed words, whose mixed pool every sample shares (it is the pool of
+    ``SeedSequence(seed)``), and is vectorised over the samples' spawn words
+    (two for an index of 2**32 or more) and the output hash.
+    """
+    def hashed(value, const, mult):
+        """NumPy's hashmix of ``value`` with the hash constant ``const``,
+        which advances by ``mult`` before the multiply."""
+        value = (value ^ np.uint32(const)) * np.uint32(const * mult % 2 ** 32)
+        return value ^ value >> np.uint32(16)
+
+    mult_a, mult_b = 0x931e8875, 0x58f38ded
+    pool = np.random.SeedSequence(seed).pool
+    # the hash constant advances once per hashed word: the pool fill, the
+    # all-pairs mix and the seed words beyond the pool
+    n_seed = max(1, -(-int(seed).bit_length() // 32))
+    n_hashed = pool.size ** 2 + pool.size * max(0, n_seed - pool.size)
+    const = 0x43b0d7e5 * pow(mult_a, n_hashed, 2 ** 32) % 2 ** 32
+
+    index = np.arange(start, start + size, dtype=np.uint64)
+    high = (index >> np.uint64(32)).astype(np.uint32)
+    mixer = np.tile(pool, (size, 1))
+    for word, rows in ((index.astype(np.uint32), slice(None)), (high, high > 0)):
+        for dst in range(pool.size):
+            mixed = np.uint32(0xca01f9dd) * mixer[rows, dst] \
+                - np.uint32(0x4973f715) * hashed(word[rows], const, mult_a)
+            mixer[rows, dst] = mixed ^ mixed >> np.uint32(16)
+            const = const * mult_a % 2 ** 32
+    # the output hash of the four pool words, read as two little-endian
+    # 64-bit words
+    const = 0x8b51f9dd
+    for w in range(pool.size):
+        mixer[:, w] = hashed(mixer[:, w], const, mult_b)
+        const = const * mult_b % 2 ** 32
+    return mixer.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _initial_factor(init: InitialCondition) -> Optional[np.ndarray]:
@@ -149,7 +199,8 @@ def _draw(init: InitialCondition, factor: Optional[np.ndarray], seed: int,
     covariance root ``factor`` is given), then its increments.
     """
     x_init = np.tile(init.mean, (size, 1))
-    rngs = [_stream(seed, start + i) for i in range(size)]
+    rngs = [np.random.Generator(np.random.Philox(seed=_Key(key)))
+            for key in _stream_keys(seed, start, size)]
     if factor is not None:
         for i, rng in enumerate(rngs):
             x_init[i] += factor @ rng.standard_normal(init.dim)
@@ -274,11 +325,23 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
     tgrid = np.linspace(0.0, t, steps + 1)
 
     if coupled:
+        # the linearised scheme is affine in the deviation d = l - ref:
+        # d_{k+1} = A_k d_k + r_k + eps sig_k dW_k with A_k = I + h J_k and
+        # r_k = ref_k + h u_k - ref_{k+1}, so with P_k = A_{S-1} ... A_k
+        # (P_S = I) its terminal state is
+        # l_S = ref_S + P_0 d_0 + sum_k P_{k+1} r_k + eps sum_k P_{k+1} sig_k dW_k
         path = solve_flow(model, ref_point, t, tol=tol, with_gradient=False)
         ref = path.state(tgrid)                                   # (S+1, n)
         u_ref = model.drift(ref[:-1], tgrid[:-1])                 # (S, n)
         jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])      # (S, n, n)
         sig_ref = model.diffusion(ref[:-1], tgrid[:-1])           # (S, n, m)
+        prop = np.empty((steps + 1, n, n))
+        prop[steps] = np.eye(n)
+        for k in range(steps - 1, -1, -1):
+            prop[k] = prop[k + 1] + h * prop[k + 1] @ jac_ref[k]
+        gain_t = np.swapaxes(prop[1:] @ sig_ref, 1, 2).copy()     # (S, m, n)
+        resid = ref[:-1] + h * u_ref - ref[1:]                    # (S, n)
+        l_base = ref[-1] + np.einsum("kij,kj->i", prop[1:], resid)
 
     # one sample axis over all cells, with each sample's noise scale
     sizes = [cell.n for cell in cells]
@@ -308,7 +371,7 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
         buf = np.empty((stop - start, min(steps, BLOCK_STEPS), m))
 
         y = x_init.copy()
-        l = x_init.copy() if coupled else None
+        acc = np.zeros((stop - start, n)) if coupled else None
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
                 if k % BLOCK_STEPS == 0:
@@ -327,12 +390,12 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
                     y_step[:, 0] += half_eps2[start:stop] * s_val * s_der \
                         * (dw[:, 0] ** 2 - h)
                 if coupled:
-                    drift_l = u_ref[k] + (l - ref[k]) @ jac_ref[k].T
-                    l += drift_l * h + eps_k * dw @ sig_ref[k].T
+                    acc += dw @ gain_t[k]
                 y += y_step
+            if coupled:
+                l_out[start:stop] = l_base + (x_init - ref[0]) @ prop[0].T \
+                    + eps_k * acc
         y_out[start:stop] = y
-        if coupled:
-            l_out[start:stop] = l
 
     for start in range(0, n_total, CHUNK_SAMPLES):
         advance(start, min(start + CHUNK_SAMPLES, n_total))

@@ -315,6 +315,15 @@ BAD_INPUTS = [
     # rejected by the other library checks, before the sweep or the bound
     ("bound", "bound", {"r": 0, "t": 1.0, "epsilon": 0.05, "rho": 0.1}, []),
     ("bound", "bound.rho", -1, []),
+    # checked before the constants are estimated
+    ("bound", None, {"model": {"name": "meandering_jet"},
+                     "bound": {"r": 0.5, "t": 1.0, "epsilon": 0.05,
+                               "constants": "estimate"}}, []),
+    ("bound", None, {"model": {"name": "meandering_jet"},
+                     "bound": {"r": 1, "t": -1, "epsilon": 0.05,
+                               "constants": "estimate"}}, []),
+    ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "delta_r": -0.1,
+                        "constants": "estimate"}, []),
     ("validate-scaling", "r", [-1], []),
     ("validate-scaling", "epsilon_grid", [0.05] * 4, []),
     ("validate-scaling", None, {"epsilon_grid": [0, 0.03, 0.06, 0.1],
@@ -401,11 +410,26 @@ _VALUES = st.one_of(
     st.just(_DELETE))
 
 
+#: the configs the property test mutates: each command's probe config, and
+#: a bound with a Gaussian start and an explicit constants mapping
+_FUZZ_BASES = cli.COMMANDS + ("bound with rho and constants",)
+
+
+def _fuzz_base(name):
+    if name in cli.COMMANDS:
+        return _probe_base(Path("."), name)
+    cfg = _probe_base(Path("."), "bound")
+    cfg["bound"].update(rho=0.1, constants={
+        "k_grad_u": 1.0, "k_hess_u": 1.0, "k_grad_sigma": 0.5, "k_sigma": 1.0,
+        "n": 1})
+    return cfg
+
+
 @st.composite
 def _mutated_configs(draw):
-    """A probe config with one leaf replaced by an arbitrary value or
+    """A fuzz base config with one leaf replaced by an arbitrary value or
     deleted."""
-    cfg = _probe_base(Path("."), draw(st.sampled_from(cli.COMMANDS)))
+    cfg = _fuzz_base(draw(st.sampled_from(_FUZZ_BASES)))
     *parents, leaf = draw(st.sampled_from(sorted(_leaves(cfg))))
     node = cfg
     for part in parents:

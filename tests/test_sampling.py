@@ -7,7 +7,7 @@ import pytest
 from linsde import sampling
 from linsde.artifacts import write_record
 from linsde.exceptions import BatchError, CovarianceError
-from linsde.flow import integrate_flow
+from linsde.flow import integrate_flow, solve_flow
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import VectorFieldModel, builtin_model
 from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
@@ -88,7 +88,75 @@ class TestDrawInitial:
         np.testing.assert_array_equal(c[:10], a)
 
 
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                      2 ** 130 + 7])
+    def test_keys_equal_seed_sequence(self, seed):
+        for start, size in ((0, 2048), (2 ** 32 - 2, 4)):
+            want = [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+                    .generate_state(2, np.uint64)
+                    for i in range(start, start + size)]
+            got = sampling._stream_keys(seed, start, size)
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+
+    def test_keyed_stream_equals_seed_sequence_stream(self):
+        seed, index = 2 ** 64 - 1, 2 ** 32 + 1
+        key = sampling._stream_keys(seed, index, 1)[0]
+        keyed = np.random.Generator(np.random.Philox(seed=sampling._Key(key)))
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        plain = np.random.Generator(np.random.Philox(seed=seq))
+        np.testing.assert_array_equal(keyed.standard_normal(1000),
+                                      plain.standard_normal(1000))
+
+
+def stepped_linearisation(model, init, eps, t, cfg):
+    """Terminal linearised samples stepped one Euler-Maruyama step at a
+    time along the reference, on the sampler's initial draws and
+    increments."""
+    steps = cfg.steps_for(t)
+    h = t / steps
+    tgrid = np.linspace(0.0, t, steps + 1)
+    ref = solve_flow(model, init.reference_point, t, tol=1e-8,
+                     with_gradient=False).state(tgrid)
+    u_ref = model.drift(ref[:-1], tgrid[:-1])
+    jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])
+    sig_ref = model.diffusion(ref[:-1], tgrid[:-1])
+    l = draw_initial(init, cfg.n_samples, cfg.seed)
+    skip = 0 if sampling._initial_factor(init) is None else init.dim
+    dw = np.empty((cfg.n_samples, steps, model.dim_noise))
+    for i in range(cfg.n_samples):
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.Philox(seed=seq))
+        rng.standard_normal(skip)
+        rng.standard_normal(out=dw[i])
+    dw *= np.sqrt(h)
+    for k in range(steps):
+        drift_l = u_ref[k] + (l - ref[k]) @ jac_ref[k].T
+        l += drift_l * h + eps * dw[:, k] @ sig_ref[k].T
+    return l
+
+
 class TestCoupledSampling:
+    @pytest.mark.parametrize("name,scheme,init,eps,t", [
+        ("sine", "euler_maruyama", InitialCondition.gaussian([0.5], rho=0.05),
+         0.1, 1.5),
+        ("linear_multiplicative", "milstein_1d",
+         InitialCondition.gaussian([2.0], rho=0.05), 0.1, 1.0),
+        ("meandering_jet", "euler_maruyama",
+         InitialCondition.gaussian([0.3, 1.1], rho=0.05), 0.05, 3.0)])
+    def test_linearised_samples_match_stepped_recursion(self, name, scheme,
+                                                        init, eps, t):
+        # the propagator form sums the same affine recursion in another
+        # order, so it agrees with the stepped one to rounding error
+        model = builtin_model(name)
+        cfg = SimulationConfig(dt=1e-3, n_samples=64, seed=17, scheme=scheme)
+        batch = sample_coupled(model, init, eps, t, cfg)
+        want = stepped_linearisation(model, init, eps, t, cfg)
+        assert batch.n_flagged == 0
+        scale = np.abs(want).max()
+        assert np.abs(batch.l_samples - want).max() <= 1e-12 * scale
+
     def test_seed_determinism(self, sine):
         cfg = SimulationConfig(dt=1e-3, n_samples=64, seed=123)
         init = InitialCondition.gaussian([0.5], rho=0.05)
