@@ -315,15 +315,6 @@ BAD_INPUTS = [
     # rejected by the other library checks, before the sweep or the bound
     ("bound", "bound", {"r": 0, "t": 1.0, "epsilon": 0.05, "rho": 0.1}, []),
     ("bound", "bound.rho", -1, []),
-    # checked before the constants are estimated
-    ("bound", None, {"model": {"name": "meandering_jet"},
-                     "bound": {"r": 0.5, "t": 1.0, "epsilon": 0.05,
-                               "constants": "estimate"}}, []),
-    ("bound", None, {"model": {"name": "meandering_jet"},
-                     "bound": {"r": 1, "t": -1, "epsilon": 0.05,
-                               "constants": "estimate"}}, []),
-    ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "delta_r": -0.1,
-                        "constants": "estimate"}, []),
     ("validate-scaling", "r", [-1], []),
     ("validate-scaling", "epsilon_grid", [0.05] * 4, []),
     ("validate-scaling", None, {"epsilon_grid": [0, 0.03, 0.06, 0.1],
@@ -336,6 +327,15 @@ BAD_INPUTS = [
     # rho ** 2 overflows: found by the property test below
     ("simulate", "init.rho", 1e200, []),
     ("validate-scaling", "rho_grid", [0.0, 1e200], []),
+    # the bound's arguments are checked before its constants are estimated
+    ("bound", None, {"model": {"name": "meandering_jet"},
+                     "bound": {"r": 0.5, "t": 1.0, "epsilon": 0.05,
+                               "constants": "estimate"}}, []),
+    ("bound", None, {"model": {"name": "meandering_jet"},
+                     "bound": {"r": 1, "t": -1, "epsilon": 0.05,
+                               "constants": "estimate"}}, []),
+    ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "delta_r": -0.1,
+                        "constants": "estimate"}, []),
 ]
 
 
