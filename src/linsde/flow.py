@@ -83,10 +83,11 @@ def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
     n = model.dim_state
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
-    if t_final < 0:
-        raise ValueError("backward-time flows are not supported")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not np.isfinite(t_final) or t_final < 0:
+        raise ValueError(f"t_final must be finite and non-negative, "
+                         f"got {t_final}")
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if t_final == 0.0:
         return FlowPath(x0, 0.0, None, with_gradient)
 
@@ -95,9 +96,10 @@ def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
 
         def rhs(t, z):
             x = z[:n]
-            grad = z[n:].reshape(n, n)
-            jac = model.drift_gradient(x, t)
-            return np.concatenate([model.drift(x, t), (jac @ grad).ravel()])
+            out = np.empty_like(z)
+            out[n:] = (model.drift_gradient(x, t) @ z[n:].reshape(n, n)).ravel()
+            out[:n] = model.drift(x, t)
+            return out
     else:
         z0 = x0
 

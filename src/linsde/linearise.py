@@ -40,6 +40,8 @@ QUAD_NODES_PER_UNIT_TIME = 200
 def _check_covariance(cov: np.ndarray, where: str) -> np.ndarray:
     """Validate symmetry and positive semi-definiteness, return symmetrised."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if not np.all(np.isfinite(cov)):
+        raise CovarianceError(f"{where}: covariance has non-finite entries")
     scale = max(float(np.linalg.norm(cov)), 1e-300)
     asym = float(np.max(np.abs(cov - cov.T)))
     if asym > 1e-12 * scale:
@@ -174,10 +176,14 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     n = model.dim_state
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, "
+                         f"got {epsilon}")
+    if not (np.isfinite(tol) and np.isfinite(dt)) or tol <= 0 or dt <= 0:
+        raise ValueError(f"tol and dt must be finite and positive, "
+                         f"got {tol} and {dt}")
     if method not in METHODS:
         raise ValueError(f"unknown covariance integrator {method!r}")
     sigma_init = np.zeros((n, n)) if sigma_init is None \
@@ -218,13 +224,12 @@ def _propagate_rk45(model, x0, t, tol, need_gradient):
         pi = 0.5 * (pi + pi.T)
         jac = model.drift_gradient(x, s)
         sig = model.diffusion(x, s)
-        dpi = jac @ pi + pi @ jac.T + sig @ sig.T
-        parts = [model.drift(x, s)]
+        out = np.empty_like(z)
+        out[n + ng:] = (jac @ pi + pi @ jac.T + sig @ sig.T).ravel()
+        out[:n] = model.drift(x, s)
         if need_gradient:
-            grad = z[n:n + ng].reshape(n, n)
-            parts.append((jac @ grad).ravel())
-        parts.append(dpi.ravel())
-        return np.concatenate(parts)
+            out[n:n + ng] = (jac @ z[n:n + ng].reshape(n, n)).ravel()
+        return out
 
     z0 = np.concatenate([x0, np.eye(n).ravel()[:ng], np.zeros(n * n)])
     sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol, atol=tol * 1e-2)
@@ -289,8 +294,8 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     if t == 0.0:
         return np.zeros((n, n))
     n_sub = quad_points if quad_points is not None \

@@ -165,44 +165,46 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
     p = MeanderingJetParams(**kwargs)
     c, A, K, e, c1, k1, l1 = p.c, p.A, p.K, p.eps_mj, p.c1, p.k1, p.l1
 
-    def drift(x, t):
+    def components(x):
+        # one point gives numpy scalars rather than 0-d arrays: the terms'
+        # values are the same, and scalar arithmetic is several times cheaper
         x = np.asarray(x, dtype=float)
-        y1, y2 = x[..., 0], x[..., 1]
+        return x[..., 0][()], x[..., 1][()]
+
+    def drift(x, t):
+        y1, y2 = components(x)
         ph = k1 * (y1 - c1 * t)
-        u1 = c - A * np.sin(K * y1) * np.cos(y2) \
+        # every term carries the phase, so its shape is the output's
+        out = np.empty(ph.shape + (2,))
+        out[..., 0] = c - A * np.sin(K * y1) * np.cos(y2) \
             + e * l1 * np.sin(ph) * np.cos(l1 * y2)
-        u2 = A * K * np.cos(K * y1) * np.sin(y2) \
+        out[..., 1] = A * K * np.cos(K * y1) * np.sin(y2) \
             + e * k1 * np.cos(ph) * np.sin(l1 * y2)
-        return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
+        return out
 
     def drift_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        y1, y2 = x[..., 0], x[..., 1]
+        y1, y2 = components(x)
         ph = k1 * (y1 - c1 * t)
         sp, cp = np.sin(ph), np.cos(ph)
         s1, cq = np.sin(K * y1), np.cos(K * y1)
         s2, c2 = np.sin(y2), np.cos(y2)
         sl, cl = np.sin(l1 * y2), np.cos(l1 * y2)
-        g11 = -A * K * cq * c2 + e * l1 * k1 * cp * cl
-        g12 = A * s1 * s2 - e * l1 ** 2 * sp * sl
-        g21 = -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl
-        g22 = A * K * cq * c2 + e * k1 * l1 * cp * cl
-        g11, g12, g21, g22 = np.broadcast_arrays(g11, g12, g21, g22)
-        row1 = np.stack([g11, g12], axis=-1)
-        row2 = np.stack([g21, g22], axis=-1)
-        return np.stack([row1, row2], axis=-2)
+        out = np.empty(ph.shape + (2, 2))
+        out[..., 0, 0] = -A * K * cq * c2 + e * l1 * k1 * cp * cl
+        out[..., 0, 1] = A * s1 * s2 - e * l1 ** 2 * sp * sl
+        out[..., 1, 0] = -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl
+        out[..., 1, 1] = A * K * cq * c2 + e * k1 * l1 * cp * cl
+        return out
 
     def diffusion(x, t):
         # columns model perturbations to the phase speed and the amplitude
-        x = np.asarray(x, dtype=float)
-        y1, y2 = x[..., 0], x[..., 1]
-        s12 = np.sin(K * y1) * np.cos(y2)
-        s22 = K * np.cos(K * y1) * np.sin(y2)
-        ones = np.ones_like(s12)
-        zeros = np.zeros_like(s12)
-        row1 = np.stack([ones, s12], axis=-1)
-        row2 = np.stack([zeros, s22], axis=-1)
-        return np.stack([row1, row2], axis=-2)
+        y1, y2 = components(x)
+        out = np.empty(y1.shape + (2, 2))
+        out[..., 0, 0] = 1.0
+        out[..., 0, 1] = np.sin(K * y1) * np.cos(y2)
+        out[..., 1, 0] = 0.0
+        out[..., 1, 1] = K * np.cos(K * y1) * np.sin(y2)
+        return out
 
     return VectorFieldModel(
         name="meandering_jet", dim_state=2, dim_noise=2, drift=drift,

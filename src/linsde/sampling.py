@@ -26,6 +26,7 @@ batch and flag count are those of the cell sampled alone.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -52,6 +53,10 @@ BLOCK_STEPS = 128
 MAX_FLAGGED_FRACTION = 0.01
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Fixed-step configuration for the coupled sampler."""
@@ -63,15 +68,18 @@ class SimulationConfig:
     t_final: Optional[float] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if isinstance(self.dt, bool) or not np.isfinite(self.dt) \
+                or self.dt <= 0:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"available: {', '.join(SCHEMES)}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be a positive integer")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not _is_integer(self.n_samples) or self.n_samples < 1:
+            raise ValueError(f"n_samples must be a positive integer, "
+                             f"got {self.n_samples!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
 
     def steps_for(self, t: float) -> int:
         """Integer step count for horizon t (dt is stretched to divide t)."""
@@ -286,8 +294,8 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     ``config``'s step and scheme; a cell's own errors carry its label."""
     if not cells:
         raise ValueError("no cells to sample")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not np.isfinite(t) or t <= 0:
+        raise ValueError(f"t must be finite and positive, got {t}")
     if config.t_final is not None and abs(config.t_final - t) > 1e-12:
         raise ValueError(f"config.t_final={config.t_final} conflicts with t={t}")
     n, m = model.dim_state, model.dim_noise

@@ -283,8 +283,8 @@ def bootstrap_coefficients(sweep: SweepResult, basis: str,
     resp = _resampled_estimates(sweep, n_boot, seed)
     if basis == "loglog_line":
         resp = np.log10(resp)
-    fits = [np.linalg.lstsq(design, row, rcond=None)[0] for row in resp]
-    return np.reshape(fits, (n_boot, design.shape[1]))
+    # one solve with every replicate as a right-hand-side column
+    return np.linalg.lstsq(design, resp.T, rcond=None)[0].T
 
 
 def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
@@ -307,8 +307,8 @@ def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
     if design.shape[0] < design.shape[1] + 1:
         raise ValueError("need at least four distinct rho cells")
     coef, _, _, _ = np.linalg.lstsq(design, sweep.estimates, rcond=None)
-    boots = np.array([np.linalg.lstsq(design, resp, rcond=None)[0][2]
-                      for resp in _resampled_estimates(sweep, n_boot, seed)])
+    resp = _resampled_estimates(sweep, n_boot, seed)
+    boots = np.linalg.lstsq(design, resp.T, rcond=None)[0][2]
     alpha = 0.5 * (1.0 - level)
     lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
     return float(coef[2]), float(lo), float(hi)

@@ -198,8 +198,9 @@ def check_field(model, grid: GridSpec, workers: int = 1,
     if grid.dim != model.dim_state:
         raise ValueError(f"grid dimension {grid.dim} does not match the "
                          f"model dimension {model.dim_state}")
-    if tol <= 0 or dt <= 0:
-        raise ValueError(f"tol and dt must be positive, got {tol} and {dt}")
+    if not (np.isfinite(tol) and np.isfinite(dt)) or tol <= 0 or dt <= 0:
+        raise ValueError(f"tol and dt must be finite and positive, "
+                         f"got {tol} and {dt}")
 
 
 def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
@@ -216,6 +217,8 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     values; more than 0.1 percent missing raises FieldError.
     """
     check_field(model, grid, workers, tol, method, dt)
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     nodes = grid.points()
     chunk = CHUNK_NODES[method]
     blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]

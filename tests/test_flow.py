@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linsde import flow
 from linsde.exceptions import IntegrationFailure
 from linsde.flow import (integrate_flow, integrate_flow_with_gradient,
                          solve_flow)
@@ -152,3 +153,13 @@ def test_integration_failure_reports_last_time(sine):
 def test_backward_time_rejected(sine):
     with pytest.raises(ValueError):
         integrate_flow(sine, [0.5], -1.0)
+
+
+@pytest.mark.parametrize("t, tol", [(math.nan, 1e-8), (math.inf, 1e-8),
+                                    (1.0, math.nan)])
+def test_nonfinite_horizon_or_tolerance_rejected_before_solve(
+        monkeypatch, ou, t, tol):
+    # NaN passes both t < 0 and tol <= 0, and the solver never returned
+    monkeypatch.setattr(flow, "solve_ivp", None)
+    with pytest.raises(ValueError):
+        solve_flow(ou, [0.5], t, tol=tol)

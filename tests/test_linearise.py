@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from linsde import linearise
 from linsde.exceptions import CovarianceError, SingularGradientError
 from linsde.flow import integrate_flow, integrate_flow_with_gradient
 from linsde.linearise import (GaussianState, InitialCondition,
@@ -247,8 +248,31 @@ class TestInitialConditionType:
         with pytest.raises(ValueError):
             InitialCondition.gaussian([0.0])
 
+    def test_non_finite_covariance_rejected(self):
+        with pytest.raises(CovarianceError, match="non-finite"):
+            GaussianState(np.zeros(1), np.full((1, 1), np.nan), 1.0,
+                          0.1).validate()
+        with pytest.raises(CovarianceError, match="non-finite"):
+            InitialCondition.gaussian([0.0, 0.0], covariance=np.full(
+                (2, 2), np.inf)).validate()
+
     def test_gaussian_rejects_non_psd(self):
         init = InitialCondition.gaussian(
             [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CovarianceError):
             init.validate()
+
+
+@pytest.mark.parametrize("t, epsilon, options", [
+    (math.nan, 0.1, {}), (math.inf, 0.1, {}), (1.0, math.nan, {}),
+    (1.0, 0.1, {"tol": math.nan}), (1.0, 0.1, {"tol": math.inf}),
+    (1.0, 0.1, {"method": "mazzoni", "dt": math.inf}),
+    (1.0, 0.1, {"method": "mazzoni", "dt": math.nan})])
+def test_nonfinite_arguments_rejected_before_solve(monkeypatch, ou, t,
+                                                   epsilon, options):
+    # NaN passes t < 0 and tol <= 0, and the adaptive solver never
+    # returned; a mazzoni dt = inf ran one silent step
+    monkeypatch.setattr(linearise, "solve_ivp", None)
+    monkeypatch.setattr(linearise, "solve_flow", None)
+    with pytest.raises(ValueError):
+        propagate_covariance(ou, [0.5], t, epsilon, **options)

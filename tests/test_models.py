@@ -174,3 +174,92 @@ def test_coefficients_broadcast_over_batches(jet, sine):
     assert sine.drift(x1, 0.0).shape == (5, 1)
     assert sine.drift_gradient(x1, 0.0).shape == (5, 1, 1)
     assert sine.diffusion(x1, 0.0).shape == (5, 1, 1)
+
+
+def _stacked_jet(p):
+    """The meandering jet's coefficients in their earlier np.stack form,
+    kept as the bitwise reference of the in-place callables."""
+    c, A, K, e, c1, k1, l1 = (p[k] for k in ("c", "A", "K", "eps_mj", "c1",
+                                             "k1", "l1"))
+
+    def drift(x, t):
+        x = np.asarray(x, dtype=float)
+        y1, y2 = x[..., 0], x[..., 1]
+        ph = k1 * (y1 - c1 * t)
+        u1 = c - A * np.sin(K * y1) * np.cos(y2) \
+            + e * l1 * np.sin(ph) * np.cos(l1 * y2)
+        u2 = A * K * np.cos(K * y1) * np.sin(y2) \
+            + e * k1 * np.cos(ph) * np.sin(l1 * y2)
+        return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
+
+    def drift_gradient(x, t):
+        x = np.asarray(x, dtype=float)
+        y1, y2 = x[..., 0], x[..., 1]
+        ph = k1 * (y1 - c1 * t)
+        sp, cp = np.sin(ph), np.cos(ph)
+        s1, cq = np.sin(K * y1), np.cos(K * y1)
+        s2, c2 = np.sin(y2), np.cos(y2)
+        sl, cl = np.sin(l1 * y2), np.cos(l1 * y2)
+        g11 = -A * K * cq * c2 + e * l1 * k1 * cp * cl
+        g12 = A * s1 * s2 - e * l1 ** 2 * sp * sl
+        g21 = -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl
+        g22 = A * K * cq * c2 + e * k1 * l1 * cp * cl
+        g11, g12, g21, g22 = np.broadcast_arrays(g11, g12, g21, g22)
+        row1 = np.stack([g11, g12], axis=-1)
+        row2 = np.stack([g21, g22], axis=-1)
+        return np.stack([row1, row2], axis=-2)
+
+    def diffusion(x, t):
+        x = np.asarray(x, dtype=float)
+        y1, y2 = x[..., 0], x[..., 1]
+        s12 = np.sin(K * y1) * np.cos(y2)
+        s22 = K * np.cos(K * y1) * np.sin(y2)
+        ones = np.ones_like(s12)
+        zeros = np.zeros_like(s12)
+        row1 = np.stack([ones, s12], axis=-1)
+        row2 = np.stack([zeros, s22], axis=-1)
+        return np.stack([row1, row2], axis=-2)
+
+    return {"drift": drift, "drift_gradient": drift_gradient,
+            "diffusion": diffusion}
+
+
+@pytest.mark.parametrize("shape, t_shape", [((2,), ()), ((64, 2), ()),
+                                            ((3, 4, 2), ()),
+                                            ((64, 2), (64,))])
+def test_jet_coefficients_equal_stacked_reference_bitwise(jet, shape, t_shape):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 4.0, shape)
+    t = rng.uniform(0.0, 2.0, t_shape) if t_shape else 0.37
+    for name, reference in _stacked_jet(jet.params).items():
+        got, want = getattr(jet, name)(x, t), reference(x, t)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_jet_rk45_covariance_equals_concatenated_rhs_bitwise(jet):
+    # the covariance RHS writes its parts in place; a solve with the
+    # concatenated RHS of the reference coefficients takes the same steps
+    from scipy.integrate import solve_ivp
+
+    from linsde.linearise import _propagate_rk45
+    ref = _stacked_jet(jet.params)
+    x0, t, tol, n = np.array([0.3, 1.1]), 1.0, 1e-6, 2
+
+    def rhs(s, z):
+        x = z[:n]
+        pi = z[n + n * n:].reshape(n, n)
+        pi = 0.5 * (pi + pi.T)
+        jac = ref["drift_gradient"](x, s)
+        sig = ref["diffusion"](x, s)
+        dpi = jac @ pi + pi @ jac.T + sig @ sig.T
+        grad = z[n:n + n * n].reshape(n, n)
+        return np.concatenate([ref["drift"](x, s), (jac @ grad).ravel(),
+                               dpi.ravel()])
+
+    z0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n)])
+    zT = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol,
+                   atol=tol * 1e-2).y[:, -1]
+    state, grad, unit = _propagate_rk45(jet, x0, t, tol, True)
+    assert np.array_equal(np.concatenate([state, grad.ravel(), unit.ravel()]),
+                          zT)

@@ -35,6 +35,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             SimulationConfig(seed=-1)
 
+    @pytest.mark.parametrize("option, value", [
+        ("dt", math.nan), ("dt", math.inf), ("dt", True),
+        ("n_samples", 2.5), ("n_samples", True), ("seed", 1.5),
+        ("seed", False)])
+    def test_rejects_nonfinite_and_non_integer_values(self, option, value):
+        # these used to fail later, or (dt = inf) to run one silent step
+        with pytest.raises(ValueError, match=option):
+            SimulationConfig(**{option: value})
+
     def test_step_rounding(self):
         cfg = SimulationConfig(dt=1e-3)
         assert cfg.steps_for(1.5) == 1500
@@ -315,6 +324,10 @@ class TestCoupledSampling:
                 sampling.check_cells(sine, cells, 1.0, cfg)
             with pytest.raises(ValueError, match=message):
                 sample_cells(sine, cells, 1.0, cfg)
+        cells = [Cell(InitialCondition.fixed([0.5]), 0.1, 0, 4)]
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                sampling.check_cells(sine, cells, t, cfg)
 
     def test_cells_share_reference_point(self, sine):
         cells = [Cell(InitialCondition.fixed([0.5]), 0.1, 0, 4),

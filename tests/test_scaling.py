@@ -6,7 +6,8 @@ import pytest
 from linsde import sampling
 from linsde.models import builtin_model
 from linsde.sampling import SamplePairBatch, SimulationConfig, sample_coupled
-from linsde.scaling import (SweepResult, bootstrap_coefficients, fit_scaling,
+from linsde.scaling import (BASES, SweepResult, bootstrap_coefficients,
+                            fit_scaling,
                             moment_orders, read_sweep, rho_curvature_interval,
                             run_sweep, strong_error, sweep_cells)
 from linsde.scaling import _cell_seed, _resampled_estimates
@@ -157,6 +158,33 @@ class TestBootstrap:
                              for _ in range(50)])
         np.testing.assert_array_equal(_resampled_estimates(sweep, 50, 9),
                                       expected)
+
+    @pytest.mark.parametrize("basis", sorted(BASES))
+    def test_batched_refits_match_per_replicate_loop(self, basis):
+        # one lstsq over all replicates gives each replicate's own fit
+        rng = np.random.default_rng(6)
+        x = np.array([0.01, 0.02, 0.05, 0.1, 0.2])
+        dists = [np.abs(rng.normal(1.0 + 5.0 * v, 0.1, size=200)) for v in x]
+        build, axis, _ = BASES[basis]
+        sweep = synthetic_sweep(x, [d.mean() for d in dists], axis=axis,
+                                distances=dists)
+        resp = _resampled_estimates(sweep, 200, 3)
+        if basis == "loglog_line":
+            design, resp = build(np.log10(x)), np.log10(resp)
+        else:
+            design = build(x)
+        loop = np.array([np.linalg.lstsq(design, row, rcond=None)[0]
+                         for row in resp])
+        np.testing.assert_allclose(
+            bootstrap_coefficients(sweep, basis, n_boot=200, seed=3), loop,
+            rtol=1e-12, atol=0)
+        if axis == "rho":
+            design = np.column_stack([np.ones_like(x), x, x ** 2])
+            boots = [np.linalg.lstsq(design, row, rcond=None)[0][2]
+                     for row in resp]
+            np.testing.assert_allclose(
+                rho_curvature_interval(sweep, n_boot=200, seed=3)[1:],
+                np.quantile(boots, [0.025, 0.975]), rtol=1e-12, atol=0)
 
     def test_requires_distances(self):
         sweep = synthetic_sweep([0.01, 0.02, 0.05, 0.1], np.ones(4))

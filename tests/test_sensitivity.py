@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from linsde import sensitivity
+from linsde import linearise, sensitivity
 from linsde.artifacts import write_record
 from linsde.linearise import propagate_covariance
 from linsde.sampling import SimulationConfig
@@ -27,6 +27,13 @@ class TestS2Point:
 
     def test_zero_horizon(self, jet):
         assert s2_point(jet, [0.3, 1.1], 0.0) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_horizon_rejected_before_solve(self, monkeypatch, ou,
+                                                     t):
+        monkeypatch.setattr(linearise, "solve_ivp", None)
+        with pytest.raises(ValueError, match="finite"):
+            s2_point(ou, [0.5], t)
 
     def test_rayleigh_quotient_identity(self, jet):
         # the value dominates every unit-direction projected variance and
@@ -110,7 +117,8 @@ class TestS2Field:
 
     @pytest.mark.parametrize("option,value,message", [
         ("workers", 0, "workers"), ("method", "euler", "method"),
-        ("tol", 0.0, "tol and dt"), ("dt", -1e-3, "tol and dt")])
+        ("tol", 0.0, "tol and dt"), ("dt", -1e-3, "tol and dt"),
+        ("tol", math.nan, "tol and dt"), ("dt", math.inf, "tol and dt")])
     def test_arguments_checked_before_any_node(self, monkeypatch, jet,
                                                option, value, message):
         # with tol = 0 every node used to fail and the field raised
@@ -119,6 +127,16 @@ class TestS2Field:
         grid = GridSpec(((0.0, 1.0, 2), (0.0, 1.0, 2)))
         with pytest.raises(ValueError, match=message):
             s2_field(jet, grid, 1.0, **{option: value})
+
+    @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_bad_horizon_rejected_before_any_node(self, monkeypatch, ou,
+                                                  method, t):
+        # mazzoni used to return s2 = -2.78 at t = -1
+        monkeypatch.setattr(sensitivity, "_field_chunk", None)
+        grid = GridSpec(((0.0, 1.0, 2),))
+        with pytest.raises(ValueError, match="t must be"):
+            s2_field(ou, grid, t, method=method)
 
     def test_check_field_defaults_are_s2_fields(self):
         def defaults(fn):
