@@ -308,8 +308,9 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     ref_point = cells[0].init.reference_point
     for cell in cells:
         with _labelled(cell.label):
-            if cell.epsilon < 0:
-                raise ValueError("epsilon must be non-negative")
+            if not np.isfinite(cell.epsilon) or cell.epsilon < 0:
+                raise ValueError(f"epsilon must be finite and non-negative, "
+                                 f"got {cell.epsilon}")
             cell.init.validate()
             if cell.init.dim != n:
                 raise ValueError(f"initial condition dimension "

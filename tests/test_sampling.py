@@ -318,6 +318,8 @@ class TestCoupledSampling:
                 "dimension"),
                ([Cell(InitialCondition.fixed([0.5]), -0.1, 0, 4, "c")],
                 "^c: epsilon"),
+               ([Cell(InitialCondition.fixed([0.5]), math.nan, 0, 4, "c")],
+                "^c: epsilon"),
                ([], "no cells")]
         for cells, message in bad:
             with pytest.raises(ValueError, match=message):
