@@ -8,7 +8,12 @@ once to high accuracy and shared by all samples. The linearised scheme is
 affine in the initial state and the increments, so its terminal state comes
 from the discrete propagator of the reference (the product of the step
 matrices I + h grad u along it), computed once: per step a sample only
-adds its increment times that step's gain.
+adds its increment times that step's gain. Each step forms both noise terms
+as elementwise products over the noise columns, summed in column order into
+scratch arrays a chunk allocates once, rather than as batched matrix
+products; for one noise column the sums are exact products. A chunk's
+initial offsets are one product of its standard normals, drawn first from
+each sample's stream, with the root of the initial covariance.
 
 Each sample owns a counter-based random stream, Philox keyed by
 ``SeedSequence(entropy=seed, spawn_key=(index,))``, so batches are
@@ -210,8 +215,10 @@ def _draw(init: InitialCondition, factor: Optional[np.ndarray], seed: int,
     rngs = [np.random.Generator(np.random.Philox(seed=_Key(key)))
             for key in _stream_keys(seed, start, size)]
     if factor is not None:
-        for i, rng in enumerate(rngs):
-            x_init[i] += factor @ rng.standard_normal(init.dim)
+        z = np.empty((size, init.dim))
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        x_init += z @ factor.T
     return x_init, rngs
 
 
@@ -381,6 +388,8 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
 
         y = x_init.copy()
         acc = np.zeros((stop - start, n)) if coupled else None
+        # scratch for one step: the step, its noise term and a column product
+        y_step, noise, prod = (np.empty((stop - start, n)) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
                 if k % BLOCK_STEPS == 0:
@@ -392,14 +401,23 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
                 dw = incr[:, k % BLOCK_STEPS, :]
                 u_y = model.drift(y, tk)
                 sig_y = model.diffusion(y, tk)
-                y_step = u_y * h + eps_k * np.einsum("sij,sj->si", sig_y, dw)
+                # u h + eps sig dW, the product summed over noise columns
+                np.multiply(sig_y[:, :, 0], dw[:, None, 0], out=noise)
+                for j in range(1, m):
+                    noise += np.multiply(sig_y[:, :, j], dw[:, None, j],
+                                         out=prod)
+                noise *= eps_k
+                np.multiply(u_y, h, out=y_step)
+                y_step += noise
                 if milstein:
                     s_val = sig_y[:, 0, 0]
                     s_der = model.diffusion_gradient(y, tk)[:, 0, 0, 0]
                     y_step[:, 0] += half_eps2[start:stop] * s_val * s_der \
                         * (dw[:, 0] ** 2 - h)
                 if coupled:
-                    acc += dw @ gain_t[k]
+                    for j in range(m):
+                        acc += np.multiply(dw[:, j:j + 1], gain_t[k, j],
+                                           out=prod)
                 y += y_step
             if coupled:
                 l_out[start:stop] = l_base + (x_init - ref[0]) @ prop[0].T \

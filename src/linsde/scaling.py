@@ -17,7 +17,8 @@ import numpy as np
 
 from .artifacts import write_table
 from .linearise import InitialCondition
-from .sampling import Cell, SamplePairBatch, SimulationConfig, sample_cells
+from .sampling import (Cell, SamplePairBatch, SimulationConfig, _is_integer,
+                       sample_cells)
 
 __all__ = ["strong_error", "moment_orders", "SweepResult", "sweep_cells",
            "run_sweep", "read_sweep",
@@ -258,14 +259,41 @@ def fit_scaling(sweep: SweepResult, basis: str) -> ScalingFit:
 def _resampled_estimates(sweep: SweepResult, n_boot: int,
                          seed: int) -> np.ndarray:
     """Bootstrap replicates (n_boot, cells) of the per-cell E_r, resampling
-    each cell's distances, replicate by replicate, from one Philox stream."""
+    each cell's distances, replicate by replicate, from one Philox stream.
+
+    Replicates are drawn in groups of about 2**14 indices by one
+    ``integers`` call whose per-draw bounds are the cell sizes, which takes
+    the stream's numbers exactly as one call per replicate and cell would.
+    """
     rng = np.random.Generator(np.random.Philox(seed=seed))
+    sizes = np.array([dist.size for dist in sweep.distances])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(bounds[-1])
+    powered = np.concatenate(sweep.distances) ** sweep.r
+    group = max(1, 2 ** 14 // max(1, total))
+    reps = min(group, n_boot)
+    high = np.tile(np.repeat(sizes, sizes), reps)
+    # each draw's index into ``powered``: its cell's start plus the draw
+    start = np.tile(np.repeat(bounds[:-1], sizes), reps)
     out = np.empty((n_boot, len(sweep)))
-    for b in range(n_boot):
-        for c, dist in enumerate(sweep.distances):
-            idx = rng.integers(0, dist.size, dist.size)
-            out[b, c] = (dist[idx] ** sweep.r).sum() / dist.size
+    for b in range(0, n_boot, group):
+        g = min(group, n_boot - b)
+        idx = rng.integers(0, high[:g * total])
+        idx += start[:g * total]
+        drawn = powered[idx].reshape(g, total)
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            out[b:b + g, c] = drawn[:, lo:hi].sum(axis=1) / sizes[c]
     return out
+
+
+def _check_bootstrap(n_boot, seed, level: float = 0.5) -> None:
+    """Reject a bootstrap's replicate count, seed or confidence level."""
+    if not _is_integer(n_boot) or n_boot < 1:
+        raise ValueError(f"n_boot must be a positive integer, got {n_boot!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
 
 
 def bootstrap_coefficients(sweep: SweepResult, basis: str,
@@ -275,6 +303,7 @@ def bootstrap_coefficients(sweep: SweepResult, basis: str,
     Requires the sweep to have been run with ``keep_distances=True``.
     Returns an array of shape (n_boot, n_coefficients).
     """
+    _check_bootstrap(n_boot, seed)
     if sweep.distances is None:
         raise ValueError("sweep was run without keep_distances=True")
     x = _fit_axis(sweep, basis)
@@ -296,6 +325,7 @@ def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
     An interval containing 0 means no significant curvature: the growth
     is statistically consistent with a straight line in rho.
     """
+    _check_bootstrap(n_boot, seed, level)
     if sweep.distances is None:
         raise ValueError("sweep was run without keep_distances=True")
     if np.unique(sweep.epsilons).size > 1:

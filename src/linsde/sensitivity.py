@@ -29,7 +29,7 @@ from .exceptions import FieldError, LinSDEError
 from .linearise import (METHODS, InitialCondition, _midpoint_step,
                         propagate_covariance)
 from .models import builtin_model, MODEL_NAMES
-from .sampling import SimulationConfig, sample_nonlinear
+from .sampling import SimulationConfig, _is_integer, sample_nonlinear
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
@@ -70,8 +70,12 @@ class GridSpec:
     def __post_init__(self):
         for ax in self.axes:
             lo, hi, count = ax
-            if count < 1:
-                raise ValueError("axis count must be a positive integer")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"axis bounds must be finite, "
+                                 f"got ({lo}, {hi})")
+            if not _is_integer(count) or count < 1:
+                raise ValueError(f"axis count must be a positive integer, "
+                                 f"got {count!r}")
             if hi < lo:
                 raise ValueError("axis max must be at least axis min")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linsde import bounds, cli
+from linsde import bounds, cli, sampling
 from linsde.artifacts import write_record
 from linsde.cli import main
 from linsde.models import builtin_model
@@ -131,6 +131,32 @@ class TestValidateScaling:
         slopes = [f["slope"] for f in fits["fits"]
                   if f["basis"] == "loglog_line"]
         assert slopes and 1.0 < slopes[0] < 3.0
+
+    @pytest.mark.parametrize("model, x0, scheme", [
+        ("linear_multiplicative", [2.0], "milstein_1d"),
+        ("meandering_jet", [0.0, 1.0], "euler_maruyama")])
+    def test_files_independent_of_chunk_and_block_sizes(
+            self, tmp_path, monkeypatch, model, x0, scheme):
+        cfg = {
+            "command": "validate-scaling",
+            "model": {"name": model},
+            "x0": x0,
+            "epsilon_grid": [0.01, 0.03, 0.06, 0.1],
+            "rho_grid": [0.0, 0.01, 0.05],
+            "t": 0.33,
+            "r": [1, 2],
+            "basis": ["const_plus_eps2"],
+            "simulation": {"dt": 0.01, "n_samples": 30, "seed": 4,
+                           "scheme": scheme},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main([path, "--out", str(tmp_path / "out")]) == 0
+        default = artifact_bytes(tmp_path / "out")
+        assert set(default) == {"sweep_r1.csv", "sweep_r2.csv", "fits.json"}
+        monkeypatch.setattr(sampling, "CHUNK_SAMPLES", 7)
+        monkeypatch.setattr(sampling, "BLOCK_STEPS", 5)
+        assert main([path, "--out", str(tmp_path / "out")]) == 0
+        assert artifact_bytes(tmp_path / "out") == default
 
     def test_too_small_grid_rejected(self, tmp_path):
         cfg = {

@@ -3,13 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import model_and_point
 
 from linsde import sampling
 from linsde.artifacts import write_record
 from linsde.exceptions import BatchError, CovarianceError
 from linsde.flow import integrate_flow, solve_flow
 from linsde.linearise import InitialCondition, linearised_distribution
-from linsde.models import VectorFieldModel, builtin_model
+from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
                              sample_cells, sample_coupled, sample_nonlinear)
 
@@ -146,7 +147,85 @@ def stepped_linearisation(model, init, eps, t, cfg):
     return l
 
 
+def batched_product_pairs(model, init, eps, t, cfg):
+    """Terminal (y, l) of the coupled sampler with each step's noise terms
+    as batched products: ``einsum`` for the nonlinear noise term, ``dw @
+    gain`` for the linearised sum, and a per-sample ``factor @ z`` for the
+    initial offsets."""
+    n, m = model.dim_state, model.dim_noise
+    steps = cfg.steps_for(t)
+    h = t / steps
+    tgrid = np.linspace(0.0, t, steps + 1)
+    ref = solve_flow(model, init.reference_point, t, tol=1e-8,
+                     with_gradient=False).state(tgrid)
+    u_ref = model.drift(ref[:-1], tgrid[:-1])
+    jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])
+    sig_ref = model.diffusion(ref[:-1], tgrid[:-1])
+    prop = np.empty((steps + 1, n, n))
+    prop[steps] = np.eye(n)
+    for k in range(steps - 1, -1, -1):
+        prop[k] = prop[k + 1] + h * prop[k + 1] @ jac_ref[k]
+    gain_t = np.swapaxes(prop[1:] @ sig_ref, 1, 2).copy()
+    resid = ref[:-1] + h * u_ref - ref[1:]
+    l_base = ref[-1] + np.einsum("kij,kj->i", prop[1:], resid)
+
+    size = cfg.n_samples
+    rngs = [np.random.Generator(np.random.Philox(seed=sampling._Key(key)))
+            for key in sampling._stream_keys(cfg.seed, 0, size)]
+    x_init = np.tile(init.mean, (size, 1))
+    factor = sampling._initial_factor(init)
+    if factor is not None:
+        for i, rng in enumerate(rngs):
+            x_init[i] += factor @ rng.standard_normal(init.dim)
+    dw_all = np.empty((size, steps, m))
+    for rng, rows in zip(rngs, dw_all):
+        rng.standard_normal(out=rows)
+    dw_all *= np.sqrt(h)
+
+    y = x_init.copy()
+    acc = np.zeros((size, n))
+    for k in range(steps):
+        dw = dw_all[:, k]
+        sig_y = model.diffusion(y, tgrid[k])
+        y_step = model.drift(y, tgrid[k]) * h \
+            + eps * np.einsum("sij,sj->si", sig_y, dw)
+        if cfg.scheme == "milstein_1d":
+            s_der = model.diffusion_gradient(y, tgrid[k])[:, 0, 0, 0]
+            y_step[:, 0] += 0.5 * eps ** 2 * sig_y[:, 0, 0] * s_der \
+                * (dw[:, 0] ** 2 - h)
+        acc += dw @ gain_t[k]
+        y += y_step
+    l = l_base + (x_init - ref[0]) @ prop[0].T + eps * acc
+    return y, l
+
+
 class TestCoupledSampling:
+    @pytest.mark.parametrize("name, scheme", [
+        *((name, "euler_maruyama") for name in MODEL_NAMES),
+        *((name, "milstein_1d") for name in ("sine", "linear_multiplicative",
+                                             "ornstein_uhlenbeck",
+                                             "brownian"))])
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_column_products_match_batched_products(self, name, scheme,
+                                                    gaussian):
+        # the sums over noise columns run in the same order as the batched
+        # products', so y is bitwise equal for up to two noise columns, as
+        # is l for one; the linearised sum over two columns rounds apart
+        model, point = model_and_point(name)
+        init = InitialCondition.gaussian(point, rho=0.05) if gaussian \
+            else InitialCondition.fixed(point)
+        cfg = SimulationConfig(dt=1e-2, n_samples=600, seed=29,
+                               scheme=scheme)
+        batch = sample_coupled(model, init, 0.1, 1.0, cfg)
+        y, l = batched_product_pairs(model, init, 0.1, 1.0, cfg)
+        assert batch.n_flagged == 0
+        np.testing.assert_array_equal(batch.y_samples, y)
+        if model.dim_noise == 1:
+            np.testing.assert_array_equal(batch.l_samples, l)
+        else:
+            assert np.abs(batch.l_samples - l).max() \
+                <= 1e-14 * np.abs(l).max()
+
     @pytest.mark.parametrize("name,scheme,init,eps,t", [
         ("sine", "euler_maruyama", InitialCondition.gaussian([0.5], rho=0.05),
          0.1, 1.5),

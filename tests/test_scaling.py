@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linsde import sampling
+from linsde import sampling, scaling
 from linsde.models import builtin_model
 from linsde.sampling import SamplePairBatch, SimulationConfig, sample_coupled
 from linsde.scaling import (BASES, SweepResult, bootstrap_coefficients,
@@ -148,16 +148,56 @@ class TestBootstrap:
         assert lo <= beta1 <= hi
 
     def test_resampled_estimates_equal_mean_of_resample(self):
+        # ragged cells, as flagged samples leave them, and 100 replicates
+        # in several draw groups, the last one partial
         rng = np.random.default_rng(5)
-        dists = [np.abs(rng.normal(1.0, 0.3, size=n)) for n in (1, 7, 300)]
-        sweep = synthetic_sweep([0.01, 0.02, 0.05], np.ones(3), r=1.5,
+        dists = [np.abs(rng.normal(1.0, 0.3, size=n))
+                 for n in (1, 7, 300, 297)]
+        sweep = synthetic_sweep([0.01, 0.02, 0.05, 0.1], np.ones(4), r=1.5,
                                 distances=dists)
         stream = np.random.Generator(np.random.Philox(seed=9))
         expected = np.array([[np.mean(d[stream.integers(0, d.size, d.size)]
                                       ** 1.5) for d in dists]
-                             for _ in range(50)])
-        np.testing.assert_array_equal(_resampled_estimates(sweep, 50, 9),
+                             for _ in range(100)])
+        np.testing.assert_array_equal(_resampled_estimates(sweep, 100, 9),
                                       expected)
+
+    def test_resampling_memory_flat_in_replicates(self):
+        rng = np.random.default_rng(8)
+        dists = [np.abs(rng.normal(1.0, 0.3, size=300)) for _ in range(4)]
+        sweep = synthetic_sweep([0.01, 0.02, 0.05, 0.1], np.ones(4),
+                                distances=dists)
+        extra = []
+        for n_boot in (1000, 20_000):
+            tracemalloc.start()
+            try:
+                _resampled_estimates(sweep, n_boot, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - n_boot * len(dists) * 8)
+        assert extra[1] <= 1.1 * extra[0]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_boot": 0}, "n_boot"), ({"n_boot": -5}, "n_boot"),
+        ({"n_boot": 10.0}, "n_boot"), ({"n_boot": True}, "n_boot"),
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+        ({"level": 0.0}, "level"), ({"level": 1.0}, "level"),
+        ({"level": -0.5}, "level"), ({"level": float("nan")}, "level")])
+    def test_bootstrap_arguments_checked_before_resampling(
+            self, monkeypatch, kwargs, message):
+        def resampled(*args):
+            raise AssertionError("resampled before the argument check")
+
+        monkeypatch.setattr(scaling, "_resampled_estimates", resampled)
+        rho = np.array([0.0, 0.02, 0.05, 0.1])
+        sweep = synthetic_sweep(rho, np.ones(4), axis="rho",
+                                distances=[np.ones(10)] * 4)
+        with pytest.raises(ValueError, match=message):
+            rho_curvature_interval(sweep, **kwargs)
+        if "level" not in kwargs:
+            with pytest.raises(ValueError, match=message):
+                bootstrap_coefficients(sweep, "const_plus_rho", **kwargs)
 
     @pytest.mark.parametrize("basis", sorted(BASES))
     def test_batched_refits_match_per_replicate_loop(self, basis):

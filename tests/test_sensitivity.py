@@ -75,6 +75,19 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(((1.0, 0.0, 4),))
 
+    @pytest.mark.parametrize("axis, message", [
+        ((math.nan, 1.0, 3), "finite"), ((0.0, math.nan, 3), "finite"),
+        ((-math.inf, 1.0, 3), "finite"), ((0.0, math.inf, 3), "finite"),
+        ((0.0, 1.0, 2.5), "integer"), ((0.0, 1.0, 3.0), "integer"),
+        ((0.0, 1.0, True), "integer")])
+    def test_rejects_nonfinite_bounds_and_non_integer_counts(
+            self, monkeypatch, ou, axis, message):
+        # a NaN bound used to reach the first node's solve, which failed
+        # with the solver's own error about a non-finite initial state
+        monkeypatch.setattr(linearise, "solve_ivp", None)
+        with pytest.raises(ValueError, match=f"axis .*{message}"):
+            s2_field(ou, GridSpec((axis,)), 1.0)
+
 
 class TestS2Field:
     def test_single_node_equals_point(self, jet):
