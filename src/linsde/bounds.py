@@ -57,9 +57,9 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.n < 1:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not self.n >= 1:
             raise ValueError("state dimension n must be a positive integer")
 
 
@@ -162,14 +162,14 @@ def lemma_constants(q: float, t: float, constants: BoundConstants) -> tuple[floa
 
 def check_bound(r: float, t: float, epsilon: float = 0.0,
                 delta_r: float = 0.0, delta_2r: float = 0.0) -> None:
-    """Reject arguments outside the bound's domain: r >= 1, t >= 0 and
-    epsilon, delta_r, delta_2r >= 0."""
-    if r < 1:
+    """Reject arguments outside the bound's domain: finite r >= 1, t >= 0
+    and epsilon, delta_r, delta_2r >= 0."""
+    if not math.isfinite(r) or r < 1:
         raise ValueError(f"moment order must satisfy r >= 1, got {r}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if epsilon < 0 or delta_r < 0 or delta_2r < 0:
-        raise ValueError("epsilon, delta_r and delta_2r must be non-negative")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not all(0 <= v < math.inf for v in (epsilon, delta_r, delta_2r)):
+        raise ValueError("epsilon, delta_r and delta_2r must be finite and >= 0")
 
 
 def theorem_constants(r: float, t: float, constants: BoundConstants) -> tuple[float, float, float]:

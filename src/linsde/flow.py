@@ -76,6 +76,24 @@ class FlowPath:
             np.shape(times) + (n, n))
 
 
+def _flow_rate(model, with_gradient: bool):
+    """Right-hand side ``rate(t, z)`` of the flow on states (..., n), or of
+    the flow and its variational equation on (..., n + n * n), DF row-major."""
+    if not with_gradient:
+        return lambda t, z: model.drift(z, t)
+    n = model.dim_state
+
+    def rate(t, z):
+        x = z[..., :n]
+        lead = z.shape[:-1]
+        out = np.empty_like(z)
+        out[..., n:] = (model.drift_gradient(x, t) @ z[..., n:].reshape(
+            lead + (n, n))).reshape(lead + (n * n,))
+        out[..., :n] = model.drift(x, t)
+        return out
+    return rate
+
+
 def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
                with_gradient: bool = True) -> FlowPath:
     """Integrate the flow (optionally with its gradient) and keep dense output."""
@@ -91,23 +109,9 @@ def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
     if t_final == 0.0:
         return FlowPath(x0, 0.0, None, with_gradient)
 
-    if with_gradient:
-        z0 = np.concatenate([x0, np.eye(n).ravel()])
-
-        def rhs(t, z):
-            x = z[:n]
-            out = np.empty_like(z)
-            out[n:] = (model.drift_gradient(x, t) @ z[n:].reshape(n, n)).ravel()
-            out[:n] = model.drift(x, t)
-            return out
-    else:
-        z0 = x0
-
-        def rhs(t, z):
-            return model.drift(z, t)
-
-    sol = solve_ivp(rhs, (0.0, t_final), z0, method="RK45", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True)
+    z0 = np.concatenate([x0, np.eye(n).ravel()]) if with_gradient else x0
+    sol = solve_ivp(_flow_rate(model, with_gradient), (0.0, t_final), z0,
+                    method="RK45", rtol=tol, atol=tol * 1e-2, dense_output=True)
     if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
         raise IntegrationFailure(
             f"flow integration failed for model {model.name!r} at "

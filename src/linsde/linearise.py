@@ -28,7 +28,7 @@ from scipy.integrate import solve_ivp
 from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import COND_LIMIT, DEFAULT_TOL, solve_flow
+from .flow import COND_LIMIT, DEFAULT_TOL, _flow_rate, solve_flow
 
 #: covariance integrators of :func:`propagate_covariance` and s2 fields
 METHODS = ("rk45", "mazzoni")
@@ -167,10 +167,9 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     gradient DF are integrated, so one solve serves every noise scale.
 
     ``method`` selects the integrator: "rk45" (default, adaptive embedded
-    Runge-Kutta on the augmented system) or "mazzoni" (fixed step ``dt``:
-    the implicit-midpoint transition applied by congruence along an
-    adaptively integrated reference trajectory, which keeps P1 symmetric
-    positive semi-definite exactly).
+    Runge-Kutta on the augmented system to tolerance ``tol``) or "mazzoni"
+    (:func:`_propagate_fixed_step`, the fixed-step field kernel, with step
+    ``dt`` and no use of ``tol``; its congruence keeps P1 symmetric PSD).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
@@ -200,8 +199,12 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
 
     need_gradient = offset is not None or bool(np.any(sigma_init))
     if method == "mazzoni":
-        state, grad, unit = _propagate_mazzoni(model, x0, t, tol, dt,
-                                               need_gradient)
+        state, grad, unit = _propagate_fixed_step(model, x0, t, dt,
+                                                  need_gradient)
+        if not (np.isfinite(state).all() and np.isfinite(unit).all()):
+            raise IntegrationFailure(
+                f"fixed-step covariance integration for model "
+                f"{model.name!r} became non-finite before t={t:.6g}")
     else:
         state, grad, unit = _propagate_rk45(model, x0, t, tol, need_gradient)
 
@@ -225,7 +228,8 @@ def _propagate_rk45(model, x0, t, tol, need_gradient):
         jac = model.drift_gradient(x, s)
         sig = model.diffusion(x, s)
         out = np.empty_like(z)
-        out[n + ng:] = (jac @ pi + pi @ jac.T + sig @ sig.T).ravel()
+        jp = jac @ pi
+        out[n + ng:] = (jp + jp.T + sig @ sig.T).ravel()
         out[:n] = model.drift(x, s)
         if need_gradient:
             out[n:n + ng] = (jac @ z[n:n + ng].reshape(n, n)).ravel()
@@ -259,22 +263,44 @@ def _midpoint_step(jac, sig, h):
     return phi, 0.5 * (forcing + np.swapaxes(forcing, -1, -2))
 
 
-def _propagate_mazzoni(model, x0, t, tol, dt, need_gradient):
-    """Fixed-step unit-noise covariance; the step midpoints (and DF) come
-    from the dense output of one accurate reference solve."""
-    n = x0.shape[0]
+def _propagate_fixed_step(model, x0, t, dt, need_gradient):
+    """States, DF (or None) and unit-noise covariances at t by fixed steps.
+
+    ``x0`` has shape (..., n), one independent node per leading index. Two
+    classical RK4 half steps per step h = t / round(t / dt) carry the state
+    (and DF, by the variational equation), so the step midpoint falls on
+    the state grid for the congruence of :func:`_midpoint_step`. A node
+    that blows up ends non-finite without affecting the others.
+    """
+    n = x0.shape[-1]
     steps = max(1, round(t / dt))
     h = t / steps
-    path = solve_flow(model, x0, t, tol=tol, with_gradient=need_gradient)
-    t_mid = (np.arange(steps) + 0.5) * h
-    x_mid = path.state(t_mid)
-    phi, forcing = _midpoint_step(model.drift_gradient(x_mid, t_mid),
-                                  model.diffusion(x_mid, t_mid), h)
-    cov = np.zeros((n, n))
-    for k in range(steps):
-        cov = phi[k] @ cov @ phi[k].T + forcing[k]
-    grad = path.gradient(t) if need_gradient else None
-    return path.state(t), grad, cov
+    rate = _flow_rate(model, need_gradient)
+    eye = np.broadcast_to(np.eye(n).ravel(), x0.shape[:-1] + (n * n,))
+    z = np.concatenate([x0, eye], axis=-1) if need_gradient else x0
+    cov = np.zeros(x0.shape[:-1] + (n, n))
+
+    def rk4(zc, tc, hc):
+        k1 = rate(tc, zc)
+        k2 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k1)
+        k3 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k2)
+        k4 = rate(tc + hc, zc + hc * k3)
+        return zc + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            tk = k * h
+            z_mid = rk4(z, tk, 0.5 * h)
+            z = rk4(z_mid, tk + 0.5 * h, 0.5 * h)
+            x_mid = z_mid[..., :n]
+            phi, forcing = _midpoint_step(
+                model.drift_gradient(x_mid, tk + 0.5 * h),
+                model.diffusion(x_mid, tk + 0.5 * h), h)
+            cov = phi @ cov @ np.swapaxes(phi, -1, -2) + forcing
+    # mirror the lower triangle (eigvalsh's) so points and fields agree
+    cov = np.tril(cov) + np.swapaxes(np.tril(cov, -1), -1, -2)
+    grad = z[..., n:].reshape(cov.shape) if need_gradient else None
+    return z[..., :n], grad, cov
 
 
 def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = None,

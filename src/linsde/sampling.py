@@ -85,6 +85,9 @@ class SimulationConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, "
                              f"got {self.seed!r}")
+        if self.t_final is not None and not 0 < self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and positive, "
+                             f"got {self.t_final!r}")
 
     def steps_for(self, t: float) -> int:
         """Integer step count for horizon t (dt is stretched to divide t)."""

@@ -41,10 +41,10 @@ def strong_error(batch: SamplePairBatch, r: float) -> tuple[float, float]:
 
 def moment_orders(r) -> list[float]:
     """One moment order or a sequence of them, as a list of floats; every
-    order must be non-negative."""
+    order must be finite and non-negative."""
     orders = [float(o) for o in np.atleast_1d(np.asarray(r, dtype=float))]
-    if any(o < 0 for o in orders):
-        raise ValueError("moment order must be non-negative")
+    if not all(np.isfinite(o) and o >= 0 for o in orders):
+        raise ValueError("moment order must be finite and non-negative")
     return orders
 
 

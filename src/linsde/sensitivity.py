@@ -10,8 +10,9 @@ Fields are embarrassingly parallel: nodes are pure, independent
 computations, partitioned into fixed-size chunks whose results are written
 by index, so a field is bit-identical for any worker count. One chunk
 worker serves both methods: "rk45" solves each node adaptively through
-:func:`s2_point`, and "mazzoni" advances a whole block with the same
-implicit-midpoint step as the fixed-step covariance integrator.
+:func:`s2_point`, and "mazzoni" advances a whole block through the
+fixed-step kernel that also serves :func:`s2_point`, so a one-node field
+equals the point value bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .exceptions import FieldError, LinSDEError
-from .linearise import (METHODS, InitialCondition, _midpoint_step,
+from .linearise import (METHODS, InitialCondition, _propagate_fixed_step,
                         propagate_covariance)
 from .models import builtin_model, MODEL_NAMES
 from .sampling import SimulationConfig, _is_integer, sample_nonlinear
@@ -139,11 +140,10 @@ def _field_chunk(model, nodes, t, method, tol, dt):
     """Sensitivity values of one block of nodes.
 
     "rk45" evaluates :func:`s2_point` node by node; a node whose solve fails
-    becomes NaN. "mazzoni" advances the whole block at once: reference
-    states by classical RK4 on half steps (so the step midpoints fall on the
-    state grid) and the unit-noise covariance by the midpoint congruence of
-    the fixed-step covariance integrator. Either way a node's value does
-    not depend on the other nodes of the block.
+    becomes NaN. "mazzoni" advances the whole block at once through
+    :func:`linearise._propagate_fixed_step`, and a node that blows up
+    becomes NaN. Either way a node's value does not depend on the other
+    nodes of the block.
     """
     if method == "rk45":
         out = np.empty(len(nodes))
@@ -154,28 +154,7 @@ def _field_chunk(model, nodes, t, method, tol, dt):
                 out[i] = np.nan
         return out
 
-    n = model.dim_state
-    steps = max(1, round(t / dt))
-    h = t / steps
-    x = np.asarray(nodes, dtype=float).copy()
-    cov = np.zeros((len(nodes), n, n))
-
-    def rk4(xc, tc, hc):
-        k1 = model.drift(xc, tc)
-        k2 = model.drift(xc + 0.5 * hc * k1, tc + 0.5 * hc)
-        k3 = model.drift(xc + 0.5 * hc * k2, tc + 0.5 * hc)
-        k4 = model.drift(xc + hc * k3, tc + hc)
-        return xc + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            tk = k * h
-            x_mid = rk4(x, tk, 0.5 * h)
-            x = rk4(x_mid, tk + 0.5 * h, 0.5 * h)
-            phi, forcing = _midpoint_step(
-                model.drift_gradient(x_mid, tk + 0.5 * h),
-                model.diffusion(x_mid, tk + 0.5 * h), h)
-            cov = phi @ cov @ np.swapaxes(phi, -1, -2) + forcing
+    _, _, cov = _propagate_fixed_step(model, nodes, t, dt, False)
     out = np.full(len(nodes), np.nan)
     finite = np.all(np.isfinite(cov), axis=(-2, -1))
     if np.any(finite):
@@ -262,11 +241,11 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
     sequence approaches :func:`s2_point` as the scale decreases, up to
     Monte-Carlo error.
     """
+    if not all(np.isfinite(eps) and eps > 0 for eps in epsilons):
+        raise ValueError("epsilons must be finite and positive")
     init = InitialCondition.fixed(x0)
     out = []
     for eps in epsilons:
-        if eps <= 0:
-            raise ValueError("epsilons must be positive")
         y = sample_nonlinear(model, init, eps, t, config)
         cov = np.cov(y, rowvar=False).reshape(model.dim_state,
                                               model.dim_state)
@@ -288,8 +267,8 @@ class RobustSet:
 
 def extract_robust_set(field: S2Field, threshold: float) -> RobustSet:
     """Nodes with sensitivity at or below the threshold (missing nodes excluded)."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and non-negative")
     with np.errstate(invalid="ignore"):
         mask = field.values <= threshold
     return RobustSet(mask, float(threshold))

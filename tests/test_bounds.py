@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from linsde import bounds
 from linsde.bounds import (BoundConstants, bound_rhs, default_bdg_constant,
                            estimate_constants, gaussian_delta_bound,
                            lemma_constants, moment_constant,
@@ -342,3 +343,24 @@ def test_constants_validation():
     with pytest.raises(ValueError):
         BoundConstants(k_grad_u=0.0, k_hess_u=0.0, k_grad_sigma=0.0,
                        k_sigma=0.0, n=0)
+
+
+@pytest.mark.parametrize("name", ["k_grad_u", "k_hess_u", "k_grad_sigma",
+                                  "k_sigma", "n"])
+def test_constants_reject_nan(name):
+    values = {"k_grad_u": 1.0, "k_hess_u": 1.0, "k_grad_sigma": 1.0,
+              "k_sigma": 1.0, name: math.nan}
+    with pytest.raises(ValueError, match="k_|dimension"):
+        BoundConstants(**values)
+
+
+@pytest.mark.parametrize("r, t, epsilon, delta", [
+    (math.nan, 1.0, 0.1, 0.0), (1.0, math.nan, 0.1, 0.0),
+    (math.inf, 1.0, 0.1, 0.0), (1.0, math.inf, 0.1, 0.0),
+    (1.0, 1.0, math.inf, 0.0), (1.0, 1.0, 0.1, math.nan)])
+def test_nonfinite_bound_arguments_rejected_before_constants(
+        monkeypatch, sine, r, t, epsilon, delta):
+    # NaN passed r < 1 and t < 0, and bound_rhs returned a NaN total
+    monkeypatch.setattr(bounds, "theorem_constants", None)
+    with pytest.raises(ValueError):
+        bound_rhs(r, t, epsilon, delta, delta, sine.constants)

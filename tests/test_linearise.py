@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from linsde import linearise
-from linsde.exceptions import CovarianceError, SingularGradientError
+from linsde.exceptions import (CovarianceError, IntegrationFailure,
+                               SingularGradientError)
 from linsde.flow import integrate_flow, integrate_flow_with_gradient
 from linsde.linearise import (GaussianState, InitialCondition,
                               covariance_by_quadrature,
                               linearised_distribution, propagate_covariance)
-from linsde.models import builtin_model
+from linsde.models import VectorFieldModel, builtin_model
+from linsde.sampling import SimulationConfig, sample_coupled
+from linsde.sensitivity import GridSpec, s2_field
 
 from conftest import model_and_point
 
@@ -120,6 +124,122 @@ class TestPropagateCovariance:
     def test_unknown_method(self, sine):
         with pytest.raises(ValueError, match="integrator"):
             propagate_covariance(sine, [0.5], 1.0, 1.0, method="euler")
+
+
+class TestFixedStepPointPath:
+    """The "mazzoni" point law comes from the block kernel of the fields."""
+
+    def test_tolerance_is_not_read(self, jet):
+        loose = propagate_covariance(jet, [0.3, 1.1], 1.0, 1.0, tol=1e-4,
+                                     method="mazzoni")
+        tight = propagate_covariance(jet, [0.3, 1.1], 1.0, 1.0, tol=1e-10,
+                                     method="mazzoni")
+        np.testing.assert_array_equal(loose.covariance, tight.covariance)
+        np.testing.assert_array_equal(loose.mean, tight.mean)
+
+    def test_accurate_at_loose_tolerance_on_jet_grid(self, jet):
+        # every other node of the 12x10 jet grid (spacing 1/4 from the
+        # origin); step midpoints taken from a tol-1e-4 dense output used
+        # to err by up to 2.8e-2
+        nodes = GridSpec(((0.0, 2.75, 12), (0.0, 2.25, 10))).points()
+        worst = 0.0
+        for x0 in nodes.reshape(12, 10, 2)[::2, ::2].reshape(-1, 2):
+            got = propagate_covariance(jet, x0, 1.0, 1.0, tol=1e-4,
+                                       method="mazzoni", dt=2e-3).covariance
+            ref = propagate_covariance(jet, x0, 1.0, 1.0,
+                                       tol=1e-10).covariance
+            worst = max(worst, np.linalg.norm(got - ref)
+                        / np.linalg.norm(ref))
+        assert worst < 5e-5
+
+    def test_gaussian_law_needs_no_adaptive_solve(self, monkeypatch, jet):
+        monkeypatch.setattr(linearise, "solve_flow", None)
+        monkeypatch.setattr(linearise, "solve_ivp", None)
+        init = InitialCondition.gaussian([0.35, 1.05], rho=0.1,
+                                         reference_point=[0.3, 1.1])
+        law = linearised_distribution(jet, init, 1.0, 0.05, method="mazzoni",
+                                      dt=1e-2)
+        assert np.all(np.isfinite(law.mean))
+        assert np.linalg.eigvalsh(law.covariance)[0] > 0.0
+
+    @pytest.mark.parametrize("sigma_init", [None, [[0.01]]])
+    def test_blow_up_raises(self, monkeypatch, sine, sigma_init):
+        # dy/dt = y^3 from 1 blows up at t = 0.5; the failure is found by
+        # the fixed-step kernel itself, with or without DF
+        cubic = VectorFieldModel(
+            name="cubic", dim_state=1, dim_noise=1,
+            drift=lambda x, t: np.asarray(x, dtype=float) ** 3,
+            drift_gradient=lambda x, t:
+                3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
+            diffusion=sine.diffusion, constants=sine.constants)
+        monkeypatch.setattr(linearise, "solve_flow", None)
+        monkeypatch.setattr(linearise, "solve_ivp", None)
+        with pytest.raises(IntegrationFailure, match="non-finite"):
+            propagate_covariance(cubic, [1.0], 2.0, 1.0,
+                                 sigma_init=sigma_init, method="mazzoni")
+
+
+#: a non-normal 3x3 drift with 4 noise columns for the Van Loan oracle
+VAN_LOAN_A = [[-0.5, 1.0, 0.2], [-0.8, -0.3, 0.4], [0.1, -0.6, 0.2]]
+VAN_LOAN_B = [0.1, -0.2, 0.3]
+VAN_LOAN_SIGMA = [[0.5, 0.1, 0.0, 0.2], [0.0, 0.4, 0.3, -0.1],
+                  [0.2, -0.3, 0.6, 0.1]]
+
+
+def van_loan_covariance(a, sigma, t):
+    """int_0^t e^{As} S S^T e^{A^T s} ds from one block exponential:
+    expm([[-A, S S^T], [0, A^T]] t) = [[., G], [0, e^{A^T t}]] and the
+    integral is e^{At} G (Van Loan 1978)."""
+    a, sigma = np.asarray(a), np.asarray(sigma)
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -a
+    block[:n, n:] = sigma @ sigma.T
+    block[n:, n:] = a.T
+    e = expm(block * t)
+    cov = e[n:, n:].T @ e[:n, n:]
+    return 0.5 * (cov + cov.T)
+
+
+class TestThreeDimensionalOracle:
+    T = 1.5
+    X0 = [0.3, -0.2, 0.5]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return builtin_model("linear_additive", a_matrix=VAN_LOAN_A,
+                             b_vector=VAN_LOAN_B, sigma_matrix=VAN_LOAN_SIGMA)
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return van_loan_covariance(VAN_LOAN_A, VAN_LOAN_SIGMA, self.T)
+
+    @pytest.mark.parametrize("method, bound", [("rk45", 1e-8),
+                                               ("mazzoni", 1e-6)])
+    def test_point_covariance(self, model, exact, method, bound):
+        got = propagate_covariance(model, self.X0, self.T, 1.0,
+                                   method=method, dt=1e-3).covariance
+        assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < bound
+
+    @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+    def test_field(self, model, exact, method):
+        # the linearisation of an affine drift is exact and its covariance
+        # does not depend on the initial point
+        grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 2)))
+        field = s2_field(model, grid, self.T, method=method)
+        top = np.linalg.eigvalsh(exact)[-1]
+        assert np.max(np.abs(field.values - top)) / top < 1e-6
+
+    def test_coupled_sampler_linearised_covariance(self, model, exact):
+        # four noise columns: a mixed-up column order shows as a wrong l law
+        n, eps = 4000, 0.05
+        batch = sample_coupled(model, InitialCondition.fixed(self.X0), eps,
+                               self.T, SimulationConfig(dt=2e-3, n_samples=n,
+                                                        seed=3))
+        sample_cov = np.cov(batch.l_samples, rowvar=False)
+        rel = np.linalg.norm(sample_cov - eps ** 2 * exact) \
+            / np.linalg.norm(eps ** 2 * exact)
+        assert rel <= 5.0 / math.sqrt(n)
 
 
 class TestQuadratureForm:

@@ -39,7 +39,7 @@ class TestConfig:
     @pytest.mark.parametrize("option, value", [
         ("dt", math.nan), ("dt", math.inf), ("dt", True),
         ("n_samples", 2.5), ("n_samples", True), ("seed", 1.5),
-        ("seed", False)])
+        ("seed", False), ("t_final", math.nan), ("t_final", math.inf)])
     def test_rejects_nonfinite_and_non_integer_values(self, option, value):
         # these used to fail later, or (dt = inf) to run one silent step
         with pytest.raises(ValueError, match=option):

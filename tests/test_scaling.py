@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,15 @@ class TestRunSweep:
                       SimulationConfig(n_samples=10))
         assert moment_orders(2) == [2.0]
         assert moment_orders([1, 0.5]) == [1.0, 0.5]
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_nonfinite_order_rejected_before_sampling(self, monkeypatch,
+                                                      sine, order):
+        # moment_orders(nan) used to return [nan]
+        monkeypatch.setattr(sampling, "solve_flow", None)
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(sine, [0.5], [0.0], [0.1], 1.0, [1.0, order],
+                      SimulationConfig(n_samples=10))
 
     def test_cell_failure_annotated(self):
         model = builtin_model("linear_multiplicative")

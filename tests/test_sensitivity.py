@@ -117,6 +117,23 @@ class TestS2Field:
         rel = np.max(np.abs(slow.values - fast.values) / slow.values)
         assert rel < 1e-3
 
+    @pytest.mark.parametrize("x0", [[0.3, 1.1], [0.0, 1.0], [2.5, 0.4]])
+    def test_one_node_mazzoni_field_equals_point(self, jet, x0):
+        grid = GridSpec(tuple((c, c, 1) for c in x0))
+        field = s2_field(jet, grid, 1.0, method="mazzoni")
+        assert field.values[0] == s2_point(jet, x0, 1.0, method="mazzoni")
+
+    def test_mazzoni_values_independent_of_block(self, monkeypatch, jet):
+        grid = GridSpec(((0.0, 3.0, 6), (0.0, 3.0, 5)))
+        whole = s2_field(jet, grid, 0.5, method="mazzoni").values
+        order = np.random.default_rng(0).permutation(grid.n_nodes)
+        shuffled = sensitivity._field_chunk(jet, grid.points()[order], 0.5,
+                                            "mazzoni", 1e-6, 2e-3)
+        np.testing.assert_array_equal(shuffled, whole[order])
+        monkeypatch.setitem(sensitivity.CHUNK_NODES, "mazzoni", 7)
+        np.testing.assert_array_equal(
+            s2_field(jet, grid, 0.5, method="mazzoni").values, whole)
+
     def test_values_positive_finite(self, jet):
         grid = GridSpec(((0.0, math.pi, 6), (0.0, math.pi, 6)))
         field = s2_field(jet, grid, 1.0, method="mazzoni")
@@ -202,6 +219,16 @@ class TestEmpiricalLimit:
         with pytest.raises(ValueError):
             s2_empirical_limit(ou, [1.0], 1.0, [0.0], cfg)
 
+    @pytest.mark.parametrize("epsilons", [[0.1, -1.0], [0.1, math.nan],
+                                          [0.1, math.inf]])
+    def test_every_scale_checked_before_sampling(self, monkeypatch, ou,
+                                                 epsilons):
+        # a bad second scale was found only after sampling the first
+        monkeypatch.setattr(sensitivity, "sample_nonlinear", None)
+        with pytest.raises(ValueError, match="epsilons"):
+            s2_empirical_limit(ou, [1.0], 1.0, epsilons,
+                               SimulationConfig(n_samples=10))
+
 
 class TestRobustSet:
     def make_field(self, values):
@@ -227,6 +254,13 @@ class TestRobustSet:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             extract_robust_set(self.make_field([1.0]), -1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_nonfinite_threshold_rejected(self, monkeypatch, threshold):
+        # NaN used to give an empty set without complaint
+        monkeypatch.setattr(sensitivity, "RobustSet", None)
+        with pytest.raises(ValueError, match="threshold"):
+            extract_robust_set(self.make_field([1.0]), threshold)
 
     def test_csv_writer(self, tmp_path):
         field = self.make_field([1.0, 2.0, 3.0])
