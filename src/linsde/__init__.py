@@ -15,13 +15,12 @@ from .exceptions import (BatchError, ConfigError, CovarianceError, FieldError,
                          IntegrationFailure, LinSDEError,
                          NumericalDomainError, SingularGradientError,
                          UnknownModelError)
-from .flow import (FlowPath, FlowResult, integrate_flow,
-                   integrate_flow_with_gradient, solve_flow)
+from .flow import FlowPath, solve_flow
 from .linearise import (GaussianState, InitialCondition,
                         covariance_by_quadrature, linearised_distribution,
                         propagate_covariance)
 from .models import (MODEL_NAMES, MeanderingJetParams, VectorFieldModel,
-                     builtin_model, eval_model)
+                     builtin_model)
 from .sampling import (SamplePairBatch, SimulationConfig, draw_initial,
                        read_batch, sample_coupled, sample_nonlinear)
 from .scaling import (BASES, ScalingFit, SweepResult, bootstrap_coefficients,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASES", "BatchError", "BoundBreakdown", "BoundConstants", "ConfigError",
-    "CovarianceError", "FieldError", "FlowPath", "FlowResult",
+    "CovarianceError", "FieldError", "FlowPath",
     "GaussianState", "GridSpec", "InitialCondition", "IntegrationFailure",
     "LinSDEError", "MODEL_NAMES", "MeanderingJetParams",
     "NumericalDomainError", "RobustSet", "S2Field", "SamplePairBatch",
@@ -43,8 +42,7 @@ __all__ = [
     "UnknownModelError", "VectorFieldModel", "bound_rhs", "builtin_model",
     "bootstrap_coefficients", "covariance_by_quadrature",
     "default_bdg_constant", "draw_initial", "estimate_constants",
-    "eval_model", "extract_robust_set", "fit_scaling",
-    "gaussian_delta_bound", "integrate_flow", "integrate_flow_with_gradient",
+    "extract_robust_set", "fit_scaling", "gaussian_delta_bound",
     "lemma_constants", "linearised_distribution", "moment_constant",
     "propagate_covariance", "read_batch", "read_field", "read_sweep",
     "rho_curvature_interval", "run_sweep", "s2_empirical_limit", "s2_field",

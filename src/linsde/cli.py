@@ -32,7 +32,8 @@ from .linearise import GaussianState, InitialCondition, linearised_distribution
 from .models import builtin_model
 from .sampling import (Cell, SamplePairBatch, SimulationConfig, check_cells,
                        sample_coupled)
-from .scaling import BASES, fit_scaling, moment_orders, run_sweep, sweep_cells
+from .scaling import (BASES, check_basis, fit_scaling, moment_orders,
+                      run_sweep, sweep_cells)
 from .sensitivity import (GridSpec, check_field, extract_robust_set,
                           robust_header, s2_field, write_robust_csv)
 
@@ -234,21 +235,12 @@ def _run_validate_scaling(run: _Run) -> None:
         moment_orders(orders)
     bases = _get(cfg, "basis", (str, list), required=False,
                  default="const_plus_eps2")
-    if isinstance(bases, str):
-        bases = [bases]
-    for basis in bases:
-        if basis not in BASES:
-            raise ConfigError("basis", f"unknown basis {basis!r}; available: "
-                              f"{', '.join(sorted(BASES))}")
-        axis = eps_grid if BASES[basis][1] == "epsilon" else rho_grid
-        need = BASES[basis][0](np.ones(1)).shape[1] + 2
-        if len(set(axis)) < need:
-            raise ConfigError("basis", f"basis {basis!r} needs at least "
-                              f"{need} distinct values along its axis, got "
-                              f"{len(set(axis))}")
-        if basis == "loglog_line" and min(axis) <= 0:
-            raise ConfigError("basis", "basis 'loglog_line' needs positive "
-                              "epsilon_grid values")
+    bases = [bases] if isinstance(bases, str) else \
+        [_checked(f"basis[{i}]", b, str) for i, b in enumerate(bases)]
+    with _rejected("basis"):
+        for basis in bases:
+            on_rho = basis in BASES and BASES[basis][1] == "rho"
+            check_basis(basis, rho_grid if on_rho else eps_grid)
     sweeps = run_sweep(model, x0, rho_grid, eps_grid, t, orders, run.sim)
     fits = []
     for sweep in sweeps:

@@ -4,14 +4,13 @@ The flow map advances an initial state under dy/dt = u(y, t); its gradient
 with respect to the initial condition solves the variational matrix equation
 d(DF)/dt = grad_u(F(t), t) DF from DF(0) = I. State and gradient are
 integrated jointly as one augmented system with an adaptive embedded
-Runge-Kutta 4(5) scheme (default relative tolerance 1e-8, absolute 1e-10);
-finite differencing of the flow is reserved for tests.
+Runge-Kutta 4(5) scheme (default relative tolerance 1e-8, absolute 1e-10)
+by :func:`solve_flow`, whose dense path gives ``state(t)`` and
+``gradient(t)`` at any time of the interval; finite differencing of the
+flow is reserved for tests.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,24 +18,6 @@ from scipy.integrate import solve_ivp
 from .exceptions import IntegrationFailure
 
 DEFAULT_TOL = 1e-8
-#: condition-number threshold above which the gradient is reported as
-#: numerically ill-conditioned
-COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    """Terminal state and gradient of a flow integration.
-
-    ``ill_conditioned`` is set when the gradient's condition number
-    exceeds COND_LIMIT; the values are still returned.
-    """
-
-    state: np.ndarray
-    gradient: np.ndarray
-    t: float
-    x0: np.ndarray
-    ill_conditioned: bool = False
 
 
 class FlowPath:
@@ -76,6 +57,16 @@ class FlowPath:
             np.shape(times) + (n, n))
 
 
+def _check_point(point, n: int, name: str) -> np.ndarray:
+    """``point`` as a finite float array of shape (n,)."""
+    point = np.atleast_1d(np.asarray(point, dtype=float))
+    if point.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {point.shape}")
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"{name} must be finite, got {point}")
+    return point
+
+
 def _flow_rate(model, with_gradient: bool):
     """Right-hand side ``rate(t, z)`` of the flow on states (..., n), or of
     the flow and its variational equation on (..., n + n * n), DF row-major."""
@@ -97,10 +88,8 @@ def _flow_rate(model, with_gradient: bool):
 def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
                with_gradient: bool = True) -> FlowPath:
     """Integrate the flow (optionally with its gradient) and keep dense output."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    x0 = _check_point(x0, n, "x0")
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError(f"t_final must be finite and non-negative, "
                          f"got {t_final}")
@@ -117,35 +106,3 @@ def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
             f"flow integration failed for model {model.name!r} at "
             f"t={sol.t[-1]:.6g}: {sol.message}", last_time=float(sol.t[-1]))
     return FlowPath(x0, t_final, sol.sol, with_gradient)
-
-
-def integrate_flow(model, x0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Flow-map state at time t (state-only integration)."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if t == 0.0:
-        return x0.copy()
-    path = solve_flow(model, x0, t, tol=tol, with_gradient=False)
-    return path.state(t)
-
-
-def integrate_flow_with_gradient(model, x0, t: float,
-                                 tol: float = DEFAULT_TOL) -> FlowResult:
-    """Flow-map state and spatial gradient at time t.
-
-    The gradient is obtained from the variational equation integrated
-    jointly with the state, not by finite differencing. A near-singular
-    gradient (condition number above COND_LIMIT) raises a warning and
-    sets the ``ill_conditioned`` flag on the result.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if t == 0.0:
-        return FlowResult(x0.copy(), np.eye(model.dim_state), 0.0, x0)
-    path = solve_flow(model, x0, t, tol=tol, with_gradient=True)
-    state = path.state(t)
-    gradient = path.gradient(t)
-    cond = np.linalg.cond(gradient)
-    flagged = bool(cond > COND_LIMIT)
-    if flagged:
-        warnings.warn(f"flow gradient is ill-conditioned (cond={cond:.3g}) "
-                      f"for model {model.name!r} at t={t}", RuntimeWarning)
-    return FlowResult(state, gradient, float(t), x0, flagged)

@@ -28,7 +28,11 @@ from scipy.integrate import solve_ivp
 from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import COND_LIMIT, DEFAULT_TOL, _flow_rate, solve_flow
+from .flow import DEFAULT_TOL, _check_point, _flow_rate, solve_flow
+
+#: condition number of the flow gradient above which the quadrature
+#: cross-check treats it as numerically singular
+COND_LIMIT = 1e12
 
 #: covariance integrators of :func:`propagate_covariance` and s2 fields
 METHODS = ("rk45", "mazzoni")
@@ -171,10 +175,10 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     (:func:`_propagate_fixed_step`, the fixed-step field kernel, with step
     ``dt`` and no use of ``tol``; its congruence keeps P1 symmetric PSD).
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    x0 = _check_point(x0, n, "x0")
+    if mean0 is not None:
+        mean0 = _check_point(mean0, n, "mean0")
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if not np.isfinite(epsilon) or epsilon < 0:
@@ -188,10 +192,8 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     sigma_init = np.zeros((n, n)) if sigma_init is None \
         else _check_covariance(sigma_init, "sigma_init")
     offset = None
-    if mean0 is not None:
-        mean0 = np.atleast_1d(np.asarray(mean0, dtype=float))
-        if not np.array_equal(mean0, x0):
-            offset = mean0 - x0
+    if mean0 is not None and not np.array_equal(mean0, x0):
+        offset = mean0 - x0
 
     if t == 0.0:
         mean = x0.copy() if offset is None else x0 + offset

@@ -7,24 +7,25 @@ against the leading axes. Scalar models use n = 1 with a trailing state axis.
 
 The catalog ships the two 1-D benchmark systems (sine drift with additive
 noise; linear drift with cosine multiplicative noise), the 2-D unsteady
-meandering jet, and three analytic oracles (Ornstein-Uhlenbeck, Brownian
-motion, and a linear-additive system whose linearisation is exact).
+meandering jet, and the linear-additive family dy = (A y + b) dt + eps S dW,
+whose linearisation is exact: a default 2-D system, and Ornstein-Uhlenbeck
+and Brownian motion as its named cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
 
 from .bounds import BoundConstants
-from .exceptions import NumericalDomainError, UnknownModelError
+from .exceptions import UnknownModelError
 
 __all__ = ["VectorFieldModel", "MeanderingJetParams", "builtin_model",
-           "eval_model", "MODEL_NAMES"]
+           "MODEL_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -215,81 +216,6 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
                 "k1": k1, "l1": l1})
 
 
-def _ornstein_uhlenbeck_model(a: float = 1.0) -> VectorFieldModel:
-    # dy = -a y dt + eps dW; terminal variance eps^2 (1 - e^{-2at}) / (2a)
-    if a <= 0:
-        raise ValueError(f"Ornstein-Uhlenbeck rate must be positive, got a={a}")
-
-    def drift(x, t):
-        return -a * np.asarray(x, dtype=float)
-
-    def drift_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape + (1,), -a)
-
-    def diffusion(x, t):
-        return np.ones_like(np.asarray(x, dtype=float))[..., None]
-
-    def diffusion_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (1, 1))
-
-    def analytic_flow(x, t):
-        return np.exp(-a * t) * np.asarray(x, dtype=float)
-
-    def analytic_flow_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.exp(-a * t), x.shape)[..., None].copy()
-
-    constants = BoundConstants(k_grad_u=a, k_hess_u=0.0, k_grad_sigma=0.0,
-                               k_sigma=1.0, n=1)
-    return VectorFieldModel(
-        name="ornstein_uhlenbeck", dim_state=1, dim_noise=1, drift=drift,
-        drift_gradient=drift_gradient, diffusion=diffusion,
-        diffusion_gradient=diffusion_gradient, constants=constants,
-        analytic_flow=analytic_flow,
-        analytic_flow_gradient=analytic_flow_gradient,
-        domain=((-2.0,), (2.0,)), params={"a": a})
-
-
-def _brownian_model(dim: int = 1) -> VectorFieldModel:
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
-    eye = np.eye(dim)
-
-    def drift(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def drift_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (dim,))
-
-    def diffusion(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-    def diffusion_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (dim, dim))
-
-    def analytic_flow(x, t):
-        return np.asarray(x, dtype=float).copy()
-
-    def analytic_flow_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye, x.shape[:-1] + (dim, dim)).copy()
-
-    constants = BoundConstants(k_grad_u=0.0, k_hess_u=0.0, k_grad_sigma=0.0,
-                               k_sigma=1.0, n=dim)
-    return VectorFieldModel(
-        name="brownian", dim_state=dim, dim_noise=dim, drift=drift,
-        drift_gradient=drift_gradient, diffusion=diffusion,
-        diffusion_gradient=diffusion_gradient, constants=constants,
-        analytic_flow=analytic_flow,
-        analytic_flow_gradient=analytic_flow_gradient,
-        domain=((-1.0,) * dim, (1.0,) * dim), params={"dim": dim})
-
-
 _LINEAR_ADDITIVE_A = ((0.0, 1.0), (-1.0, -0.3))
 _LINEAR_ADDITIVE_B = (0.1, -0.2)
 _LINEAR_ADDITIVE_SIGMA = ((0.8, 0.2), (0.1, 0.6))
@@ -349,6 +275,25 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
                 "sigma_matrix": S.tolist()})
 
 
+def _ornstein_uhlenbeck_model(a: float = 1.0) -> VectorFieldModel:
+    # dy = -a y dt + eps dW; terminal variance eps^2 (1 - e^{-2at}) / (2a)
+    if not 0 < a < math.inf:
+        raise ValueError(f"Ornstein-Uhlenbeck rate must be positive and "
+                         f"finite, got a={a}")
+    return replace(_linear_additive_model([[-a]], [0.0], [[1.0]]),
+                   name="ornstein_uhlenbeck", params={"a": a})
+
+
+def _brownian_model(dim: int = 1) -> VectorFieldModel:
+    # dy = eps dW: zero drift and identity diffusion
+    if dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    return replace(_linear_additive_model(np.zeros((dim, dim)), np.zeros(dim),
+                                          np.eye(dim)),
+                   name="brownian", domain=((-1.0,) * dim, (1.0,) * dim),
+                   params={"dim": dim})
+
+
 _CATALOG = {
     "sine": _sine_model,
     "linear_multiplicative": _linear_multiplicative_model,
@@ -373,22 +318,3 @@ def builtin_model(name: str, **params) -> VectorFieldModel:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}") from None
     return factory(**params)
-
-
-def eval_model(model: VectorFieldModel, x, t):
-    """Evaluate drift, drift gradient and diffusion at (x, t) in one call.
-
-    Raises :class:`NumericalDomainError` carrying the offending point if
-    any output is non-finite.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(model.drift(x, t), dtype=float)
-    grad = np.asarray(model.drift_gradient(x, t), dtype=float)
-    sigma = np.asarray(model.diffusion(x, t), dtype=float)
-    for label, value in (("drift", u), ("drift_gradient", grad),
-                         ("diffusion", sigma)):
-        if not np.all(np.isfinite(value)):
-            raise NumericalDomainError(
-                f"{model.name}: non-finite {label} at x={x!r}, t={t!r}",
-                point=x, time=t)
-    return u, grad, sigma

@@ -22,7 +22,8 @@ from .sampling import (Cell, SamplePairBatch, SimulationConfig, _is_integer,
 
 __all__ = ["strong_error", "moment_orders", "SweepResult", "sweep_cells",
            "run_sweep", "read_sweep",
-           "ScalingFit", "fit_scaling", "bootstrap_coefficients",
+           "ScalingFit", "check_basis", "fit_scaling",
+           "bootstrap_coefficients",
            "rho_curvature_interval", "BASES"]
 
 
@@ -205,24 +206,46 @@ BASES = {
 }
 
 
-def _fit_axis(sweep: SweepResult, basis: str) -> np.ndarray:
+def check_basis(basis: str, values) -> np.ndarray:
+    """The design matrix of ``basis`` at the regressor ``values``.
+
+    Rejects an unknown basis, fewer values than the basis has coefficients
+    plus two, a rank-deficient design, and a ``loglog_line`` value that is
+    not positive (that basis regresses on log10 of the values).
+    """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; "
                          f"available: {', '.join(sorted(BASES))}")
-    axis = BASES[basis][1]
-    other = sweep.rhos if axis == "epsilon" else sweep.epsilons
-    if np.unique(other).size > 1:
+    x = np.asarray(values, dtype=float)
+    if basis == "loglog_line":
+        if np.any(x <= 0):
+            raise ValueError("log-log fit requires positive epsilons")
+        x = np.log10(x)
+    design = BASES[basis][0](x)
+    if design.shape[0] < design.shape[1] + 2:
+        raise ValueError(f"basis {basis!r} needs at least two more cells "
+                         f"than its {design.shape[1]} coefficients, got "
+                         f"{design.shape[0]}")
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise ValueError(f"degenerate design matrix for basis {basis!r} "
+                         "(repeated axis values?)")
+    return design
+
+
+def _fit_design(sweep: SweepResult, basis: str) -> np.ndarray:
+    """:func:`check_basis` along the axis of ``basis``, whose other axis
+    must be constant over the sweep."""
+    # an unknown basis has no axis; check_basis rejects it
+    axis = BASES[basis][1] if basis in BASES else None
+    other = sweep.epsilons if axis == "rho" else sweep.rhos
+    if axis is not None and np.unique(other).size > 1:
         raise ValueError(f"basis {basis!r} fits along the {axis} axis; "
                          "restrict the sweep so the other axis is constant")
-    return sweep.epsilons if axis == "epsilon" else sweep.rhos
+    return check_basis(basis, sweep.rhos if axis == "rho" else sweep.epsilons)
 
 
 def _ols(design: np.ndarray, response: np.ndarray,
          intercept: bool) -> tuple[np.ndarray, float]:
-    if design.shape[0] < design.shape[1] + 2:
-        raise ValueError("need at least two more cells than fit coefficients")
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise ValueError("degenerate design matrix (repeated axis values?)")
     coef, _, _, _ = np.linalg.lstsq(design, response, rcond=None)
     resid = response - design @ coef
     ss_res = float(resid @ resid)
@@ -242,16 +265,14 @@ def fit_scaling(sweep: SweepResult, basis: str) -> ScalingFit:
     Polynomial bases are fitted in untransformed space. ``loglog_line``
     regresses log10(E_r) on log10(epsilon) and reports the slope.
     """
-    x = _fit_axis(sweep, basis)
-    build, _, intercept = BASES[basis]
+    design = _fit_design(sweep, basis)
+    intercept = BASES[basis][2]
     if basis == "loglog_line":
-        if np.any(x <= 0) or np.any(sweep.estimates <= 0):
-            raise ValueError("log-log fit requires positive epsilons and estimates")
-        design = build(np.log10(x))
+        if np.any(sweep.estimates <= 0):
+            raise ValueError("log-log fit requires positive estimates")
         coef, r2 = _ols(design, np.log10(sweep.estimates), intercept)
         return ScalingFit(basis, tuple(map(float, coef)), r2,
                           slope=float(coef[1]))
-    design = build(x)
     coef, r2 = _ols(design, sweep.estimates, intercept)
     return ScalingFit(basis, tuple(map(float, coef)), r2)
 
@@ -306,9 +327,7 @@ def bootstrap_coefficients(sweep: SweepResult, basis: str,
     _check_bootstrap(n_boot, seed)
     if sweep.distances is None:
         raise ValueError("sweep was run without keep_distances=True")
-    x = _fit_axis(sweep, basis)
-    build, _, _ = BASES[basis]
-    design = build(np.log10(x)) if basis == "loglog_line" else build(x)
+    design = _fit_design(sweep, basis)
     resp = _resampled_estimates(sweep, n_boot, seed)
     if basis == "loglog_line":
         resp = np.log10(resp)

@@ -55,8 +55,6 @@ def s2_point(model, x0, t: float, tol: float = 1e-8,
     initial covariance) propagated to time t; equals the spectral norm
     since the covariance is symmetric positive semi-definite.
     """
-    if t == 0.0:
-        return 0.0
     state = propagate_covariance(model, x0, t, epsilon=1.0, tol=tol,
                                  method=method, dt=dt)
     return float(np.linalg.eigvalsh(state.covariance)[-1])

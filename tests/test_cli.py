@@ -158,6 +158,24 @@ class TestValidateScaling:
         assert main([path, "--out", str(tmp_path / "out")]) == 0
         assert artifact_bytes(tmp_path / "out") == default
 
+    def test_repeated_grid_values_with_full_rank_accepted(self, tmp_path):
+        # the fit needs rows and rank, not distinct values: four cells at
+        # two noise scales determine the two coefficients
+        cfg = {
+            "command": "validate-scaling",
+            "model": {"name": "sine"},
+            "x0": [0.5],
+            "epsilon_grid": [0.01, 0.01, 0.1, 0.1],
+            "rho_grid": [0.0],
+            "t": 0.5,
+            "basis": "const_plus_eps2",
+            "simulation": {"dt": 0.01, "n_samples": 20, "seed": 3},
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main([write_config(tmp_path, cfg)]) == 0
+        fits = json.loads((tmp_path / "out" / "fits.json").read_text())
+        assert len(fits["fits"]) == 1
+
     def test_too_small_grid_rejected(self, tmp_path):
         cfg = {
             "command": "validate-scaling",
@@ -362,6 +380,12 @@ BAD_INPUTS = [
                                "constants": "estimate"}}, []),
     ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "delta_r": -0.1,
                         "constants": "estimate"}, []),
+    # a rank-deficient basis design, and basis entries that are not names
+    ("validate-scaling", None, {"rho_grid": [0.1, 0.1, 0.1, 0.1],
+                                "basis": "const_plus_rho2"}, []),
+    ("validate-scaling", "basis", [["const_plus_eps2"]], []),
+    ("validate-scaling", "basis", [{}], []),
+    ("validate-scaling", "basis", ["const_plus_eps2", 1], []),
 ]
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from linsde import flow
 from linsde.exceptions import IntegrationFailure
-from linsde.flow import (integrate_flow, integrate_flow_with_gradient,
-                         solve_flow)
+from linsde.flow import solve_flow
 from linsde.models import VectorFieldModel, builtin_model
 
 from conftest import model_and_point
@@ -16,28 +15,37 @@ ALL_MODELS = [("sine", {}), ("linear_multiplicative", {}),
               ("brownian", {}), ("linear_additive", {})]
 
 
+def flow_state(model, x0, t, **kwargs):
+    # a state-only solve, read at its end
+    return solve_flow(model, x0, t, with_gradient=False, **kwargs).state(t)
+
+
+def flow_gradient(model, x0, t):
+    return solve_flow(model, x0, t).gradient(t)
+
+
 def sine_closed_form(x0, t):
     # separable solution of dy/dt = sin(y) on (-pi, pi)
     return 2.0 * math.atan(math.exp(t) * math.tan(0.5 * x0))
 
 
 def test_sine_flow_matches_closed_form(sine):
-    got = integrate_flow(sine, [0.5], 1.5)
+    got = flow_state(sine, [0.5], 1.5)
     assert got[0] == pytest.approx(sine_closed_form(0.5, 1.5), abs=1e-7)
 
 
 def test_mult_flow_matches_closed_form(mult):
-    got = integrate_flow(mult, [2.0], 1.0)
+    got = flow_state(mult, [2.0], 1.0)
     assert got[0] == pytest.approx(2.0 * math.exp(0.5), abs=1e-7)
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_flow_identity_at_t0(name, params):
     model, x0 = model_and_point(name, **params)
-    np.testing.assert_array_equal(integrate_flow(model, x0, 0.0), x0)
-    res = integrate_flow_with_gradient(model, x0, 0.0)
-    np.testing.assert_array_equal(res.state, x0)
-    np.testing.assert_array_equal(res.gradient, np.eye(model.dim_state))
+    np.testing.assert_array_equal(flow_state(model, x0, 0.0), x0)
+    path = solve_flow(model, x0, 0.0)
+    np.testing.assert_array_equal(path.state(0.0), x0)
+    np.testing.assert_array_equal(path.gradient(0.0), np.eye(model.dim_state))
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
@@ -46,7 +54,7 @@ def test_flow_matches_analytic_flow(name, params):
     if model.analytic_flow is None:
         pytest.skip("no closed form for this model")
     for t in (0.25, 1.0):
-        got = integrate_flow(model, x0, t, tol=1e-8)
+        got = flow_state(model, x0, t, tol=1e-8)
         np.testing.assert_allclose(got, model.analytic_flow(x0, t),
                                    atol=1e-7, rtol=1e-7)
 
@@ -58,43 +66,42 @@ def test_flow_gradient_matches_analytic_gradient(name, params):
     model, x0 = model_and_point(name, **params)
     n = model.dim_state
     for t in (0.25, 1.0):
-        got = integrate_flow_with_gradient(model, x0, t).gradient
+        got = flow_gradient(model, x0, t)
         np.testing.assert_allclose(
             got, model.analytic_flow_gradient(x0, t).reshape(n, n),
             rtol=1e-7)
 
 
 def test_mult_gradient_exponential(mult):
-    res = integrate_flow_with_gradient(mult, [2.0], 1.0)
-    assert res.gradient[0, 0] == pytest.approx(math.exp(0.5), rel=1e-8)
+    grad = flow_gradient(mult, [2.0], 1.0)
+    assert grad[0, 0] == pytest.approx(math.exp(0.5), rel=1e-8)
     # linear drift makes the gradient state independent
-    res2 = integrate_flow_with_gradient(mult, [-1.3], 1.0)
-    assert res2.gradient[0, 0] == pytest.approx(res.gradient[0, 0], rel=1e-9)
+    grad2 = flow_gradient(mult, [-1.3], 1.0)
+    assert grad2[0, 0] == pytest.approx(grad[0, 0], rel=1e-9)
 
 
 def test_sine_gradient_matches_closed_form_fd(sine):
-    res = integrate_flow_with_gradient(sine, [0.5], 1.5)
+    grad = flow_gradient(sine, [0.5], 1.5)
     h = 1e-6
     fd = (sine_closed_form(0.5 + h, 1.5) - sine_closed_form(0.5 - h, 1.5)) \
         / (2 * h)
-    assert res.gradient[0, 0] == pytest.approx(fd, rel=1e-7)
+    assert grad[0, 0] == pytest.approx(fd, rel=1e-7)
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_variational_gradient_matches_flow_fd(name, params):
     model, x0 = model_and_point(name, **params)
     t = 1.0
-    res = integrate_flow_with_gradient(model, x0, t)
+    grad = flow_gradient(model, x0, t)
     n = model.dim_state
     h = 1e-4
     fd = np.empty((n, n))
     for k in range(n):
         dx = np.zeros(n)
         dx[k] = h
-        fd[:, k] = (integrate_flow(model, x0 + dx, t)
-                    - integrate_flow(model, x0 - dx, t)) / (2 * h)
-    err = np.linalg.norm(fd - res.gradient) / max(1.0,
-                                                  np.linalg.norm(res.gradient))
+        fd[:, k] = (flow_state(model, x0 + dx, t)
+                    - flow_state(model, x0 - dx, t)) / (2 * h)
+    err = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
     assert err < 1e-4, f"{name}: relative Frobenius error {err}"
 
 
@@ -102,7 +109,7 @@ def test_variational_gradient_matches_flow_fd(name, params):
 def test_semigroup_property(name):
     model, x0 = model_and_point(name)
     s, t = 0.4, 1.1
-    mid = integrate_flow(model, x0, s)
+    mid = flow_state(model, x0, s)
     if name == "sine":
         shifted = model  # autonomous
     else:
@@ -112,8 +119,8 @@ def test_semigroup_property(name):
             drift_gradient=lambda x, tt: model.drift_gradient(x, tt + s),
             diffusion=lambda x, tt: model.diffusion(x, tt + s),
             constants=model.constants)
-    composed = integrate_flow(shifted, mid, t - s)
-    direct = integrate_flow(model, x0, t)
+    composed = flow_state(shifted, mid, t - s)
+    direct = flow_state(model, x0, t)
     np.testing.assert_allclose(composed, direct, atol=1e-7, rtol=1e-7)
 
 
@@ -122,19 +129,9 @@ def test_dense_path_consistent_with_endpoints(jet):
     times = np.linspace(0.0, 1.0, 9)
     states = path.state(times)
     np.testing.assert_allclose(states[0], [0.3, 1.1], atol=1e-12)
-    np.testing.assert_allclose(states[-1], integrate_flow(jet, [0.3, 1.1], 1.0),
+    np.testing.assert_allclose(states[-1], flow_state(jet, [0.3, 1.1], 1.0),
                                atol=1e-8)
     np.testing.assert_allclose(path.gradient(0.0), np.eye(2), atol=1e-10)
-
-
-def test_ill_conditioned_gradient_warns():
-    stiff = builtin_model("linear_additive",
-                          a_matrix=[[-20.0, 0.0], [0.0, 20.0]],
-                          b_vector=[0.0, 0.0],
-                          sigma_matrix=[[1.0, 0.0], [0.0, 1.0]])
-    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        res = integrate_flow_with_gradient(stiff, [1.0, 1.0], 2.0)
-    assert res.ill_conditioned
 
 
 def test_integration_failure_reports_last_time(sine):
@@ -145,14 +142,14 @@ def test_integration_failure_reports_last_time(sine):
         diffusion=sine.diffusion, constants=sine.constants)
     # dy/dt = y^3 from 1 blows up at t = 0.5
     with pytest.raises(IntegrationFailure) as err:
-        integrate_flow(explosive, [1.0], 2.0)
+        flow_state(explosive, [1.0], 2.0)
     assert err.value.last_time is not None
     assert err.value.last_time <= 0.55
 
 
 def test_backward_time_rejected(sine):
     with pytest.raises(ValueError):
-        integrate_flow(sine, [0.5], -1.0)
+        flow_state(sine, [0.5], -1.0)
 
 
 @pytest.mark.parametrize("t, tol", [(math.nan, 1e-8), (math.inf, 1e-8),
@@ -163,3 +160,10 @@ def test_nonfinite_horizon_or_tolerance_rejected_before_solve(
     monkeypatch.setattr(flow, "solve_ivp", None)
     with pytest.raises(ValueError):
         solve_flow(ou, [0.5], t, tol=tol)
+
+
+@pytest.mark.parametrize("x0", [[math.nan], [math.inf], [0.5, 0.5]])
+def test_bad_point_rejected_before_solve(monkeypatch, ou, x0):
+    monkeypatch.setattr(flow, "solve_ivp", None)
+    with pytest.raises(ValueError, match="x0"):
+        solve_flow(ou, x0, 1.0)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from linsde import linearise
 from linsde.exceptions import (CovarianceError, IntegrationFailure,
                                SingularGradientError)
-from linsde.flow import integrate_flow, integrate_flow_with_gradient
+from linsde.flow import solve_flow
 from linsde.linearise import (GaussianState, InitialCondition,
                               covariance_by_quadrature,
                               linearised_distribution, propagate_covariance)
@@ -58,7 +58,8 @@ class TestPropagateCovariance:
     def test_fixed_initial_mean_is_flow_state(self, jet):
         x0 = [0.3, 1.1]
         got = propagate_covariance(jet, x0, 1.0, epsilon=0.05)
-        np.testing.assert_allclose(got.mean, integrate_flow(jet, x0, 1.0),
+        np.testing.assert_allclose(got.mean,
+                                   solve_flow(jet, x0, 1.0).state(1.0),
                                    atol=1e-7)
 
     def test_t0_returns_initial(self, sine):
@@ -278,7 +279,8 @@ class TestLinearisedDistribution:
         eps, t = 0.05, 1.5
         init = InitialCondition.fixed([0.5])
         law = linearised_distribution(sine, init, t, eps)
-        np.testing.assert_allclose(law.mean, integrate_flow(sine, [0.5], t),
+        np.testing.assert_allclose(law.mean,
+                                   solve_flow(sine, [0.5], t).state(t),
                                    atol=1e-7)
         unit = covariance_by_quadrature(sine, [0.5], t)
         np.testing.assert_allclose(law.covariance, eps ** 2 * unit,
@@ -289,7 +291,7 @@ class TestLinearisedDistribution:
         mu, rho, eps, t = 0.5, 0.1, 0.01, 1.5
         law = linearised_distribution(
             sine, InitialCondition.gaussian([mu], rho=rho), t, eps)
-        grad = integrate_flow_with_gradient(sine, [mu], t).gradient[0, 0]
+        grad = solve_flow(sine, [mu], t).gradient(t)[0, 0]
         unit = covariance_by_quadrature(sine, [mu], t)[0, 0]
         expected = rho ** 2 * grad ** 2 + eps ** 2 * unit
         assert law.covariance[0, 0] == pytest.approx(expected, rel=1e-6)
@@ -301,7 +303,7 @@ class TestLinearisedDistribution:
         eps, t = 0.05, 1.0
         law = linearised_distribution(
             jet, InitialCondition.gaussian(x0, covariance=s0), t, eps)
-        grad = integrate_flow_with_gradient(jet, x0, t).gradient
+        grad = solve_flow(jet, x0, t).gradient(t)
         unit = covariance_by_quadrature(jet, x0, t)
         expected = grad @ s0 @ grad.T + eps ** 2 * unit
         assert np.linalg.norm(law.covariance - expected) \
@@ -396,3 +398,18 @@ def test_nonfinite_arguments_rejected_before_solve(monkeypatch, ou, t,
     monkeypatch.setattr(linearise, "solve_flow", None)
     with pytest.raises(ValueError):
         propagate_covariance(ou, [0.5], t, epsilon, **options)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("x0, mean0", [
+    ([math.nan, 1.1], None), ([0.3, math.inf], None),
+    ([0.3, 1.1], [math.nan, 1.1]), ([0.3, 1.1], [0.3, -math.inf]),
+    ([0.3, 1.1], [0.3, 1.1, 0.0])])
+@pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+def test_bad_point_or_mean_rejected_before_solve(monkeypatch, jet, t, x0,
+                                                 mean0, method):
+    for name in ("solve_ivp", "solve_flow", "_propagate_fixed_step",
+                 "_propagate_rk45"):
+        monkeypatch.setattr(linearise, name, None)
+    with pytest.raises(ValueError, match="x0|mean0"):
+        propagate_covariance(jet, x0, t, 0.1, mean0=mean0, method=method)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from linsde.exceptions import NumericalDomainError, UnknownModelError
+from linsde.exceptions import UnknownModelError
 from linsde.linearise import _propagate_rk45
-from linsde.models import (MODEL_NAMES, VectorFieldModel, builtin_model,
-                           eval_model)
+from linsde.models import MODEL_NAMES, builtin_model
 
 from conftest import TEST_POINTS
 
@@ -29,11 +28,50 @@ def test_ou_invalid_rate():
         builtin_model("ornstein_uhlenbeck", a=0.0)
     with pytest.raises(ValueError):
         builtin_model("ornstein_uhlenbeck", a=-1.0)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            builtin_model("ornstein_uhlenbeck", a=a)
 
 
 def test_brownian_invalid_dim():
     with pytest.raises(ValueError):
         builtin_model("brownian", dim=0)
+
+
+#: every catalog model, with defaults and with non-default parameters
+REBUILD_CASES = [
+    ("sine", {}), ("linear_multiplicative", {}), ("meandering_jet", {}),
+    ("meandering_jet", {"K": 3.0, "eps_mj": 0.1}),
+    ("ornstein_uhlenbeck", {}), ("ornstein_uhlenbeck", {"a": 1.5}),
+    ("brownian", {}), ("brownian", {"dim": 3}), ("linear_additive", {}),
+    ("linear_additive", {"a_matrix": [[-1.0, 0.5, 0.0], [0.2, -0.7, 0.1],
+                                      [0.0, 0.3, -0.4]],
+                         "b_vector": [0.1, 0.0, -0.2],
+                         "sigma_matrix": [[0.5, 0.0, 0.1, 0.0],
+                                          [0.0, 0.4, 0.0, 0.2],
+                                          [0.1, 0.0, 0.3, 0.0]]}),
+]
+COEFFICIENTS = ("drift", "drift_gradient", "diffusion", "diffusion_gradient",
+                "analytic_flow", "analytic_flow_gradient")
+
+
+@pytest.mark.parametrize("name,params", REBUILD_CASES)
+def test_model_rebuilds_from_name_and_params(name, params):
+    # field worker processes rebuild the model from (name, params)
+    model = builtin_model(name, **params)
+    again = builtin_model(model.name, **model.params)
+    assert (again.name, again.params, again.domain, again.constants,
+            again.dim_state, again.dim_noise) == (
+        model.name, model.params, model.domain, model.constants,
+        model.dim_state, model.dim_noise)
+    lo, hi = (np.asarray(b) for b in model.domain)
+    x = lo + (hi - lo) * np.random.default_rng(3).random((9, model.dim_state))
+    for coefficient in COEFFICIENTS:
+        f, g = getattr(model, coefficient), getattr(again, coefficient)
+        assert (f is None) == (g is None), coefficient
+        if f is not None:
+            for xs in (x, x[0]):
+                assert np.array_equal(f(xs, 0.7), g(xs, 0.7)), coefficient
 
 
 def test_sine_drift_at_origin(sine):
@@ -55,15 +93,19 @@ def test_jet_drift_components(jet):
     assert u[1] == pytest.approx(expected, abs=1e-14)
 
 
-def test_eval_model_sine(sine):
-    u, grad, sig = eval_model(sine, [0.5], 0.0)
+def test_sine_coefficients_at_point(sine):
+    x = np.array([0.5])
+    u, grad, sig = (sine.drift(x, 0.0), sine.drift_gradient(x, 0.0),
+                    sine.diffusion(x, 0.0))
     assert u[0] == pytest.approx(math.sin(0.5), abs=1e-15)
     assert grad[0, 0] == pytest.approx(math.cos(0.5), abs=1e-15)
     assert sig[0, 0] == 1.0
 
 
-def test_eval_model_brownian(brownian2):
-    u, grad, sig = eval_model(brownian2, [0.7, -0.2], 3.0)
+def test_brownian_coefficients_at_point(brownian2):
+    x = np.array([0.7, -0.2])
+    u, grad, sig = (brownian2.drift(x, 3.0), brownian2.drift_gradient(x, 3.0),
+                    brownian2.diffusion(x, 3.0))
     assert np.all(u == 0.0)
     assert np.all(grad == 0.0)
     np.testing.assert_array_equal(sig, np.eye(2))
@@ -151,18 +193,6 @@ def test_jet_parameter_defaults(jet):
     assert jet.params == pytest.approx({"c": 0.5, "A": 1.0, "K": 4.0,
                                         "eps_mj": 0.3, "c1": math.pi,
                                         "k1": 1.0, "l1": 2.0})
-
-
-def test_eval_model_nonfinite_raises():
-    bad = builtin_model("sine")
-    broken = VectorFieldModel(
-        name="broken", dim_state=1, dim_noise=1,
-        drift=lambda x, t: np.full_like(np.asarray(x, dtype=float), np.nan),
-        drift_gradient=bad.drift_gradient, diffusion=bad.diffusion,
-        constants=bad.constants)
-    with pytest.raises(NumericalDomainError) as err:
-        eval_model(broken, [0.5], 0.0)
-    assert err.value.point is not None
 
 
 def test_coefficients_broadcast_over_batches(jet, sine):

@@ -1,0 +1,50 @@
+"""The package's public names, pinned so that any change to them is
+deliberate."""
+
+import pytest
+
+import linsde
+from linsde import flow, models
+
+PUBLIC = [
+    "BASES", "BatchError", "BoundBreakdown", "BoundConstants", "ConfigError",
+    "CovarianceError", "FieldError", "FlowPath", "GaussianState", "GridSpec",
+    "InitialCondition", "IntegrationFailure", "LinSDEError", "MODEL_NAMES",
+    "MeanderingJetParams", "NumericalDomainError", "RobustSet", "S2Field",
+    "SamplePairBatch", "ScalingFit", "SimulationConfig",
+    "SingularGradientError", "SweepResult", "UnknownModelError",
+    "VectorFieldModel", "bootstrap_coefficients", "bound_rhs",
+    "builtin_model", "covariance_by_quadrature", "default_bdg_constant",
+    "draw_initial", "estimate_constants", "extract_robust_set", "fit_scaling",
+    "gaussian_delta_bound", "lemma_constants", "linearised_distribution",
+    "moment_constant", "propagate_covariance", "read_batch", "read_field",
+    "read_sweep", "rho_curvature_interval", "run_sweep", "s2_empirical_limit",
+    "s2_field", "s2_point", "sample_coupled", "sample_nonlinear",
+    "solve_flow", "strong_error", "theorem_constants", "write_robust_csv",
+]
+
+
+def test_all_is_pinned():
+    assert len(set(linsde.__all__)) == len(linsde.__all__)
+    assert sorted(linsde.__all__) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_resolves(name):
+    assert getattr(linsde, name) is not None
+
+
+def test_star_import_gives_exactly_the_public_names():
+    namespace = {}
+    exec("from linsde import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+@pytest.mark.parametrize("module, name", [
+    (flow, "integrate_flow"), (flow, "integrate_flow_with_gradient"),
+    (flow, "FlowResult"), (models, "eval_model")])
+def test_deleted_name_is_gone(module, name):
+    # the flow has one entry point, solve_flow, and the coefficients are
+    # the model's own callables
+    assert not hasattr(module, name)
+    assert not hasattr(linsde, name)

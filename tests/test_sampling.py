@@ -8,7 +8,7 @@ from conftest import model_and_point
 from linsde import sampling
 from linsde.artifacts import write_record
 from linsde.exceptions import BatchError, CovarianceError
-from linsde.flow import integrate_flow, solve_flow
+from linsde.flow import solve_flow
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
@@ -288,7 +288,7 @@ class TestCoupledSampling:
         cfg = SimulationConfig(dt=1e-3, n_samples=4, seed=6)
         batch = sample_coupled(sine, InitialCondition.fixed([0.5]), 0.0,
                                1.5, cfg)
-        target = integrate_flow(sine, [0.5], 1.5)
+        target = solve_flow(sine, [0.5], 1.5).state(1.5)
         assert np.abs(batch.y_samples - target).max() <= 10 * cfg.dt
         assert np.abs(batch.l_samples - target).max() <= 10 * cfg.dt
         assert np.abs(batch.y_samples - batch.l_samples).max() <= 10 * cfg.dt

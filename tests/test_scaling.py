@@ -8,9 +8,9 @@ from linsde import sampling, scaling
 from linsde.models import builtin_model
 from linsde.sampling import SamplePairBatch, SimulationConfig, sample_coupled
 from linsde.scaling import (BASES, SweepResult, bootstrap_coefficients,
-                            fit_scaling,
-                            moment_orders, read_sweep, rho_curvature_interval,
-                            run_sweep, strong_error, sweep_cells)
+                            check_basis, fit_scaling, moment_orders,
+                            read_sweep, rho_curvature_interval, run_sweep,
+                            strong_error, sweep_cells)
 from linsde.scaling import _cell_seed, _resampled_estimates
 from linsde.linearise import InitialCondition
 
@@ -130,6 +130,35 @@ class TestFitScaling:
                                 [1.0, 2.0, 0.0, 3.0])
         with pytest.raises(ValueError, match="positive"):
             fit_scaling(sweep, "loglog_line")
+
+
+class TestCheckBasis:
+    @pytest.mark.parametrize("basis", sorted(BASES))
+    def test_returns_the_design(self, basis):
+        x = np.array([0.01, 0.02, 0.05, 0.1])
+        build = BASES[basis][0]
+        want = build(np.log10(x)) if basis == "loglog_line" else build(x)
+        np.testing.assert_array_equal(check_basis(basis, x), want)
+
+    @pytest.mark.parametrize("basis, values, message", [
+        ("cubic", [0.01, 0.02, 0.05, 0.1], "unknown basis"),
+        ("const_plus_eps2", [0.01, 0.02, 0.05], "cells"),
+        ("const_plus_rho", [0.0, 0.0, 0.1, 0.1, 0.2][:3], "cells"),
+        ("const_plus_eps2", [0.05] * 4, "degenerate"),
+        ("eps_plus_eps2", [0.0] * 5, "degenerate"),
+        ("loglog_line", [0.0, 0.03, 0.06, 0.1], "positive"),
+        ("loglog_line", [-0.01, 0.03, 0.06, 0.1], "positive")])
+    def test_rejections(self, basis, values, message):
+        with pytest.raises(ValueError, match=message):
+            check_basis(basis, values)
+
+    def test_repeated_values_with_full_rank_accepted(self):
+        # four cells and two distinct values still determine two coefficients
+        design = check_basis("const_plus_eps2", [0.01, 0.01, 0.03, 0.03])
+        assert design.shape == (4, 2)
+        sweep = synthetic_sweep([0.01, 0.01, 0.03, 0.03],
+                                [1.0, 1.1, 2.0, 2.1])
+        assert len(fit_scaling(sweep, "const_plus_eps2").coefficients) == 2
 
 
 class TestBootstrap:

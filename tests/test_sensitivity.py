@@ -27,6 +27,15 @@ class TestS2Point:
 
     def test_zero_horizon(self, jet):
         assert s2_point(jet, [0.3, 1.1], 0.0) == 0.0
+        assert s2_point(jet, [0.3, 1.1], 0.0, method="mazzoni") == 0.0
+
+    @pytest.mark.parametrize("x0, message", [([1.0, 2.0, 3.0], "shape"),
+                                             ([math.nan, 2.0], "finite"),
+                                             ([math.inf, 2.0], "finite")])
+    def test_bad_point_rejected_at_zero_horizon(self, jet, x0, message):
+        # t = 0 needs no solve, but the point is checked all the same
+        with pytest.raises(ValueError, match=message):
+            s2_point(jet, x0, 0.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nonfinite_horizon_rejected_before_solve(self, monkeypatch, ou,
