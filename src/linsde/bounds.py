@@ -30,8 +30,7 @@ def default_bdg_constant(r: float) -> float:
     scaling structure of the bound; this default is documented, not
     claimed sharp, and can be overridden per BoundConstants instance.
     """
-    if r < 1:
-        raise ValueError(f"moment order must satisfy r >= 1, got {r}")
+    check_bound(r, 0.0)
     p = 0.5 * r
     if p <= 1.0:
         return 4.0
@@ -113,8 +112,9 @@ def moment_constant(r: float) -> float:
     For a univariate Gaussian with standard deviation rho, the r-th absolute
     central moment equals moment_constant(r) * rho^r exactly.
     """
-    if r < 0:
-        raise ValueError(f"moment order must be non-negative, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"moment order must be finite and non-negative, "
+                         f"got {r}")
     return 2.0 ** (0.5 * r) * float(_gamma(0.5 * (r + 1.0))) / math.sqrt(math.pi)
 
 
@@ -125,9 +125,11 @@ def gaussian_delta_bound(sigma0: np.ndarray, r: float) -> float:
     which holds with equality when n = 1 (where it reduces to M_r rho^r
     with rho^2 = tr(Sigma0)). Returns delta_r itself, not its r-th power.
     """
-    if r <= 0:
-        raise ValueError(f"moment order must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"moment order must be finite and positive, got {r}")
     sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
+    if not np.all(np.isfinite(sigma0)):
+        raise ValueError("covariance must be finite")
     n = sigma0.shape[0]
     trace = float(np.trace(sigma0))
     if trace < 0:
@@ -145,10 +147,7 @@ def lemma_constants(q: float, t: float, constants: BoundConstants) -> tuple[floa
     Both are non-decreasing in t and vanish at t = 0. Overflow at large
     q * t yields +inf.
     """
-    if q < 1:
-        raise ValueError(f"q must satisfy q >= 1, got {q}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    check_bound(q, t)
     g = constants.bdg_constant(q)
     if g <= 0:
         raise ValueError("BDG constant must be positive")

@@ -170,10 +170,11 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     (when sigma_init is non-zero or the mean is offset from x0) the flow
     gradient DF are integrated, so one solve serves every noise scale.
 
-    ``method`` selects the integrator: "rk45" (default, adaptive embedded
-    Runge-Kutta on the augmented system to tolerance ``tol``) or "mazzoni"
-    (:func:`_propagate_fixed_step`, the fixed-step field kernel, with step
-    ``dt`` and no use of ``tol``; its congruence keeps P1 symmetric PSD).
+    ``method`` selects the kernel of :func:`_propagate`, the one s2 fields
+    use: "rk45" (default, adaptive embedded Runge-Kutta on the augmented
+    system to tolerance ``tol``) or "mazzoni" (fixed steps of ``dt`` and no
+    use of ``tol``; its congruence keeps P1 symmetric PSD). A non-finite
+    result raises IntegrationFailure.
     """
     n = model.dim_state
     x0 = _check_point(x0, n, "x0")
@@ -200,15 +201,13 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
         return GaussianState(mean, sigma_init.copy(), 0.0, epsilon).validate()
 
     need_gradient = offset is not None or bool(np.any(sigma_init))
-    if method == "mazzoni":
-        state, grad, unit = _propagate_fixed_step(model, x0, t, dt,
-                                                  need_gradient)
-        if not (np.isfinite(state).all() and np.isfinite(unit).all()):
-            raise IntegrationFailure(
-                f"fixed-step covariance integration for model "
-                f"{model.name!r} became non-finite before t={t:.6g}")
-    else:
-        state, grad, unit = _propagate_rk45(model, x0, t, tol, need_gradient)
+    state, grad, unit = _propagate(model, x0, t, method, tol, dt,
+                                   need_gradient)
+    if not (np.isfinite(state).all() and np.isfinite(unit).all()
+            and (grad is None or np.isfinite(grad).all())):
+        raise IntegrationFailure(
+            f"{method} covariance integration for model {model.name!r} "
+            f"became non-finite before t={t:.6g}")
 
     mean = state if offset is None else state + grad @ offset
     cov = epsilon ** 2 * unit
@@ -218,9 +217,19 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     return GaussianState(mean, cov, float(t), float(epsilon)).validate()
 
 
+def _propagate(model, x0, t, method, tol, dt, need_gradient):
+    """States, DF (or None) and unit-noise covariances at t of independent
+    nodes ``x0`` (..., n) by ``method``; a failed node ends non-finite."""
+    if method == "rk45":
+        return _propagate_rk45(model, x0, t, tol, need_gradient)
+    return _propagate_fixed_step(model, x0, t, dt, need_gradient)
+
+
 def _propagate_rk45(model, x0, t, tol, need_gradient):
-    """State, DF (or None) and unit-noise covariance by one adaptive solve."""
-    n = x0.shape[0]
+    """States, DF (or None) and unit-noise covariances at t, one adaptive
+    RK45 solve of the augmented system per node of ``x0`` (..., n); a node
+    whose solve fails ends as NaN rows."""
+    n = x0.shape[-1]
     ng = n * n if need_gradient else 0
 
     def rhs(s, z):
@@ -237,15 +246,18 @@ def _propagate_rk45(model, x0, t, tol, need_gradient):
             out[n:n + ng] = (jac @ z[n:n + ng].reshape(n, n)).ravel()
         return out
 
-    z0 = np.concatenate([x0, np.eye(n).ravel()[:ng], np.zeros(n * n)])
-    sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol, atol=tol * 1e-2)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationFailure(
-            f"covariance integration failed for model {model.name!r} at "
-            f"t={sol.t[-1]:.6g}: {sol.message}", last_time=float(sol.t[-1]))
-    zT = sol.y[:, -1]
-    grad = zT[n:n + ng].reshape(n, n) if need_gradient else None
-    return zT[:n], grad, zT[n + ng:].reshape(n, n)
+    tail = np.concatenate([np.eye(n).ravel()[:ng], np.zeros(n * n)])
+    nodes = x0.reshape(-1, n)
+    z = np.full((len(nodes), n + ng + n * n), np.nan)
+    for i, node in enumerate(nodes):
+        sol = solve_ivp(rhs, (0.0, t), np.concatenate([node, tail]),
+                        method="RK45", rtol=tol, atol=tol * 1e-2)
+        if sol.success:
+            z[i] = sol.y[:, -1]
+    z = z.reshape(x0.shape[:-1] + (-1,))
+    cov = z[..., n + ng:].reshape(x0.shape[:-1] + (n, n))
+    grad = z[..., n:n + ng].reshape(cov.shape) if need_gradient else None
+    return z[..., :n], grad, cov
 
 
 def _midpoint_step(jac, sig, h):

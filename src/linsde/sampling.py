@@ -244,8 +244,8 @@ class Cell(NamedTuple):
     label: str = ""
 
 
-def sample_cells(model, cells, t: float, config: SimulationConfig,
-                 tol: float = 1e-8) -> list[SamplePairBatch]:
+def sample_cells(model, cells, t: float,
+                 config: SimulationConfig) -> list[SamplePairBatch]:
     """Coupled batches of several cells that share model, horizon, step,
     scheme and reference point, stepped together.
 
@@ -255,8 +255,7 @@ def sample_cells(model, cells, t: float, config: SimulationConfig,
     the one ``sample_coupled`` gives for that cell alone. ``config``
     supplies dt and the scheme; each cell its seed and sample count.
     """
-    results = _terminal_samples(model, cells, t, config, coupled=True,
-                                tol=tol)
+    results = _terminal_samples(model, cells, t, config, coupled=True)
     return [SamplePairBatch(y, l, float(cell.epsilon), cell.init.rho,
                             replace(config, seed=cell.seed, n_samples=cell.n,
                                     t_final=float(t)),
@@ -265,7 +264,7 @@ def sample_cells(model, cells, t: float, config: SimulationConfig,
 
 
 def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
-                   config: SimulationConfig, tol: float = 1e-8) -> SamplePairBatch:
+                   config: SimulationConfig) -> SamplePairBatch:
     """Simulate terminal pairs of the nonlinear SDE and its linearisation.
 
     For each sample the initial state is drawn once and shared, the Wiener
@@ -277,15 +276,14 @@ def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
     vanishes and the update coincides with Euler-Maruyama.
     """
     cell = Cell(init, epsilon, config.seed, config.n_samples)
-    return sample_cells(model, [cell], t, config, tol)[0]
+    return sample_cells(model, [cell], t, config)[0]
 
 
 def sample_nonlinear(model, init: InitialCondition, epsilon: float, t: float,
-                     config: SimulationConfig, tol: float = 1e-8) -> np.ndarray:
+                     config: SimulationConfig) -> np.ndarray:
     """Terminal samples of the nonlinear SDE alone (same streams as coupled)."""
     cell = Cell(init, epsilon, config.seed, config.n_samples)
-    return _terminal_samples(model, [cell], t, config, coupled=False,
-                             tol=tol)[0][0]
+    return _terminal_samples(model, [cell], t, config, coupled=False)[0][0]
 
 
 @contextmanager
@@ -330,7 +328,7 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
                 raise ValueError("cells must share one reference point")
 
 
-def _terminal_samples(model, cells, t, config, coupled, tol):
+def _terminal_samples(model, cells, t, config, coupled):
     """(y, l, n_flagged) per cell; l is None unless ``coupled``."""
     check_cells(model, cells, t, config)
     n, m = model.dim_state, model.dim_noise
@@ -349,7 +347,7 @@ def _terminal_samples(model, cells, t, config, coupled, tol):
         # r_k = ref_k + h u_k - ref_{k+1}, so with P_k = A_{S-1} ... A_k
         # (P_S = I) its terminal state is
         # l_S = ref_S + P_0 d_0 + sum_k P_{k+1} r_k + eps sum_k P_{k+1} sig_k dW_k
-        path = solve_flow(model, ref_point, t, tol=tol, with_gradient=False)
+        path = solve_flow(model, ref_point, t, with_gradient=False)
         ref = path.state(tgrid)                                   # (S+1, n)
         u_ref = model.drift(ref[:-1], tgrid[:-1])                 # (S, n)
         jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])      # (S, n, n)

@@ -8,11 +8,10 @@ robust sets collect the nodes whose value stays below a threshold.
 
 Fields are embarrassingly parallel: nodes are pure, independent
 computations, partitioned into fixed-size chunks whose results are written
-by index, so a field is bit-identical for any worker count. One chunk
-worker serves both methods: "rk45" solves each node adaptively through
-:func:`s2_point`, and "mazzoni" advances a whole block through the
-fixed-step kernel that also serves :func:`s2_point`, so a one-node field
-equals the point value bit for bit.
+by index, so a field is bit-identical for any worker count. Each chunk
+goes through the covariance kernel that also serves :func:`s2_point`
+("rk45" solves each node adaptively, "mazzoni" advances the block with
+fixed steps), and a node whose result is non-finite goes missing.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import write_table
-from .exceptions import FieldError, LinSDEError
-from .linearise import (METHODS, InitialCondition, _propagate_fixed_step,
+from .exceptions import FieldError
+from .flow import DEFAULT_TOL
+from .linearise import (METHODS, InitialCondition, _propagate,
                         propagate_covariance)
 from .models import builtin_model, MODEL_NAMES
 from .sampling import SimulationConfig, _is_integer, sample_nonlinear
@@ -43,11 +43,11 @@ CHUNK_NODES = {"rk45": 64, "mazzoni": 4096}
 MAX_MISSING_FRACTION = 0.001
 
 #: default tolerance for field computation (looser than the point default,
-#: which uses the flow-module default of 1e-8)
+#: the flow module's DEFAULT_TOL)
 FIELD_TOL = 1e-6
 
 
-def s2_point(model, x0, t: float, tol: float = 1e-8,
+def s2_point(model, x0, t: float, tol: float = DEFAULT_TOL,
              method: str = "rk45", dt: float = 2e-3) -> float:
     """Sensitivity value at one initial condition.
 
@@ -135,24 +135,12 @@ def read_field(csv_path, json_path) -> S2Field:
 
 
 def _field_chunk(model, nodes, t, method, tol, dt):
-    """Sensitivity values of one block of nodes.
+    """Sensitivity values of one block of nodes, NaN where a node failed.
 
-    "rk45" evaluates :func:`s2_point` node by node; a node whose solve fails
-    becomes NaN. "mazzoni" advances the whole block at once through
-    :func:`linearise._propagate_fixed_step`, and a node that blows up
-    becomes NaN. Either way a node's value does not depend on the other
-    nodes of the block.
+    The whole block goes through :func:`linearise._propagate`, whose nodes
+    are independent, so a node's value does not depend on the block.
     """
-    if method == "rk45":
-        out = np.empty(len(nodes))
-        for i, x0 in enumerate(nodes):
-            try:
-                out[i] = s2_point(model, x0, t, tol=tol)
-            except LinSDEError:
-                out[i] = np.nan
-        return out
-
-    _, _, cov = _propagate_fixed_step(model, nodes, t, dt, False)
+    _, _, cov = _propagate(model, nodes, t, method, tol, dt, False)
     out = np.full(len(nodes), np.nan)
     finite = np.all(np.isfinite(cov), axis=(-2, -1))
     if np.any(finite):
@@ -189,13 +177,13 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
              dt: float = 2e-3) -> S2Field:
     """Sensitivity field over a rectangular grid of initial conditions.
 
-    ``method`` "rk45" evaluates :func:`s2_point` independently at every
-    node with the adaptive integrator; "mazzoni" switches to the fixed-step
-    vectorised path (step ``dt``). Nodes are partitioned into fixed-size
-    chunks (CHUNK_NODES per method) computed serially or on a process pool;
-    the partition does not depend on ``workers``, so fields are identical
-    for any worker count. Individual node failures are recorded as missing
-    values; more than 0.1 percent missing raises FieldError.
+    Every node takes the covariance kernel of :func:`s2_point` for
+    ``method``: "rk45" adaptive to ``tol``, "mazzoni" fixed steps of ``dt``.
+    Nodes are partitioned into fixed-size chunks (CHUNK_NODES per method)
+    computed serially or on a process pool; the partition does not depend
+    on ``workers``, so fields are identical for any worker count. A node
+    with a non-finite result is recorded as missing; more than 0.1 percent
+    missing raises FieldError.
     """
     check_field(model, grid, workers, tol, method, dt)
     if not np.isfinite(t) or t < 0:

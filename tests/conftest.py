@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linsde.models import builtin_model
+from linsde.models import VectorFieldModel, builtin_model
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +48,13 @@ TEST_POINTS = {
 def model_and_point(name, **params):
     model = builtin_model(name, **params)
     return model, np.asarray(TEST_POINTS[name], dtype=float)
+
+
+def cubic_model(sine):
+    """dy/dt = y^3, which blows up at t = 1 / (2 y0^2), with sine's noise."""
+    return VectorFieldModel(
+        name="cubic", dim_state=1, dim_noise=1,
+        drift=lambda x, t: np.asarray(x, dtype=float) ** 3,
+        drift_gradient=lambda x, t:
+            3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
+        diffusion=sine.diffusion, constants=sine.constants)

@@ -364,3 +364,20 @@ def test_nonfinite_bound_arguments_rejected_before_constants(
     monkeypatch.setattr(bounds, "theorem_constants", None)
     with pytest.raises(ValueError):
         bound_rhs(r, t, epsilon, delta, delta, sine.constants)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (moment_constant, (math.nan,)), (moment_constant, (math.inf,)),
+    (gaussian_delta_bound, (np.eye(2), math.nan)),
+    (gaussian_delta_bound, (np.eye(2), math.inf)),
+    (gaussian_delta_bound, ([[math.nan]], 1.0)),
+    (gaussian_delta_bound, ([[1.0, 0.0], [0.0, math.inf]], 1.0)),
+    (default_bdg_constant, (math.nan,)), (default_bdg_constant, (math.inf,)),
+    (lemma_constants, (math.nan, 1.0, plain_constants())),
+    (lemma_constants, (2.0, math.nan, plain_constants())),
+    (lemma_constants, (2.0, math.inf, plain_constants()))],
+    ids=lambda v: getattr(v, "__name__", None))
+def test_nonfinite_constant_arguments_rejected(fn, args):
+    # each of these returned NaN instead of rejecting its argument
+    with pytest.raises(ValueError):
+        fn(*args)

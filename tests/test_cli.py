@@ -313,7 +313,8 @@ def _probe_base(tmp_path, command):
     if command == "validate-scaling":
         return {"command": command, "model": {"name": "sine"}, "x0": [0.5],
                 "epsilon_grid": [0.01, 0.03, 0.06, 0.1], "rho_grid": [0.0],
-                "t": 0.5, "output_dir": out}
+                "basis": ["const_plus_eps2"], "r": [1], "t": 0.5,
+                "output_dir": out}
     if command == "bound":
         return {"command": command, "model": {"name": "sine"},
                 "bound": {"r": 1, "t": 1.0, "epsilon": 0.05},

@@ -11,11 +11,11 @@ from linsde.flow import solve_flow
 from linsde.linearise import (GaussianState, InitialCondition,
                               covariance_by_quadrature,
                               linearised_distribution, propagate_covariance)
-from linsde.models import VectorFieldModel, builtin_model
+from linsde.models import builtin_model
 from linsde.sampling import SimulationConfig, sample_coupled
 from linsde.sensitivity import GridSpec, s2_field
 
-from conftest import model_and_point
+from conftest import cubic_model, model_and_point
 
 ALL_MODELS = [("sine", {}), ("linear_multiplicative", {}),
               ("meandering_jet", {}), ("ornstein_uhlenbeck", {}),
@@ -167,17 +167,36 @@ class TestFixedStepPointPath:
     def test_blow_up_raises(self, monkeypatch, sine, sigma_init):
         # dy/dt = y^3 from 1 blows up at t = 0.5; the failure is found by
         # the fixed-step kernel itself, with or without DF
-        cubic = VectorFieldModel(
-            name="cubic", dim_state=1, dim_noise=1,
-            drift=lambda x, t: np.asarray(x, dtype=float) ** 3,
-            drift_gradient=lambda x, t:
-                3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
-            diffusion=sine.diffusion, constants=sine.constants)
         monkeypatch.setattr(linearise, "solve_flow", None)
         monkeypatch.setattr(linearise, "solve_ivp", None)
         with pytest.raises(IntegrationFailure, match="non-finite"):
-            propagate_covariance(cubic, [1.0], 2.0, 1.0,
+            propagate_covariance(cubic_model(sine), [1.0], 2.0, 1.0,
                                  sigma_init=sigma_init, method="mazzoni")
+
+
+@pytest.mark.parametrize("sigma_init", [None, [[0.01]]])
+def test_adaptive_blow_up_raises(sine, sigma_init):
+    # dy/dt = y^3 from 2 blows up at t = 0.125: the failed solve comes back
+    # as NaN rows, which the point path reports as one IntegrationFailure
+    with pytest.raises(IntegrationFailure, match="non-finite"):
+        propagate_covariance(cubic_model(sine), [2.0], 0.25, 1.0,
+                             sigma_init=sigma_init)
+
+
+@pytest.mark.parametrize("need_gradient", [False, True])
+@pytest.mark.parametrize("method", linearise.METHODS)
+def test_propagate_stack_equals_per_node_calls(jet, method, need_gradient):
+    nodes = np.array([[0.3, 1.1], [0.0, 1.0], [2.5, 0.4], [1.7, 2.9]])
+    stack = linearise._propagate(jet, nodes, 0.5, method, 1e-6, 1e-2,
+                                 need_gradient)
+    assert (stack[1] is None) == (not need_gradient)
+    for i, x0 in enumerate(nodes):
+        single = linearise._propagate(jet, x0, 0.5, method, 1e-6, 1e-2,
+                                      need_gradient)
+        for whole, part in zip(stack, single):
+            if part is not None:
+                assert whole.shape == (len(nodes),) + part.shape
+                np.testing.assert_array_equal(whole[i], part)
 
 
 #: a non-normal 3x3 drift with 4 noise columns for the Van Loan oracle

@@ -13,6 +13,8 @@ from linsde.sensitivity import (GridSpec, S2Field, check_field,
                                 s2_empirical_limit, s2_field, s2_point,
                                 write_robust_csv)
 
+from conftest import cubic_model
+
 OU_S2_T1 = (1.0 - math.exp(-2.0)) / 2.0
 
 
@@ -132,16 +134,32 @@ class TestS2Field:
         field = s2_field(jet, grid, 1.0, method="mazzoni")
         assert field.values[0] == s2_point(jet, x0, 1.0, method="mazzoni")
 
-    def test_mazzoni_values_independent_of_block(self, monkeypatch, jet):
+    @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+    def test_values_independent_of_block(self, monkeypatch, jet, method):
         grid = GridSpec(((0.0, 3.0, 6), (0.0, 3.0, 5)))
-        whole = s2_field(jet, grid, 0.5, method="mazzoni").values
+        whole = s2_field(jet, grid, 0.5, method=method).values
         order = np.random.default_rng(0).permutation(grid.n_nodes)
         shuffled = sensitivity._field_chunk(jet, grid.points()[order], 0.5,
-                                            "mazzoni", 1e-6, 2e-3)
+                                            method, 1e-6, 2e-3)
         np.testing.assert_array_equal(shuffled, whole[order])
-        monkeypatch.setitem(sensitivity.CHUNK_NODES, "mazzoni", 7)
+        monkeypatch.setitem(sensitivity.CHUNK_NODES, method, 7)
         np.testing.assert_array_equal(
-            s2_field(jet, grid, 0.5, method="mazzoni").values, whole)
+            s2_field(jet, grid, 0.5, method=method).values, whole)
+
+    @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+    def test_blow_up_node_is_nan_without_touching_the_block(self, sine,
+                                                            method):
+        # dy/dt = y^3 from y0 blows up at t = 1 / (2 y0^2): at 0.125 from
+        # 2, after t = 0.25 from 1 and 0.5
+        nodes = np.array([[1.0], [2.0], [0.5]])
+        values = sensitivity._field_chunk(cubic_model(sine), nodes, 0.25,
+                                          method, 1e-6, 1e-3)
+        assert np.isnan(values[1])
+        np.testing.assert_array_equal(
+            values[[0, 2]],
+            sensitivity._field_chunk(cubic_model(sine), nodes[[0, 2]], 0.25,
+                                     method, 1e-6, 1e-3))
+        assert np.all(np.isfinite(values[[0, 2]]))
 
     def test_values_positive_finite(self, jet):
         grid = GridSpec(((0.0, math.pi, 6), (0.0, math.pi, 6)))
