@@ -414,6 +414,11 @@ def main(argv=None) -> int:
     except (LinSDEError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}"
+              if exc.filename is not None else f"error: {exc}",
+              file=sys.stderr)
+        return 3
     return 0
 
 

@@ -76,13 +76,21 @@ def _flow_rate(model, with_gradient: bool):
 
     def rate(t, z):
         x = z[..., :n]
-        lead = z.shape[:-1]
-        out = np.empty_like(z)
-        out[..., n:] = (model.drift_gradient(x, t) @ z[..., n:].reshape(
-            lead + (n, n))).reshape(lead + (n * n,))
-        out[..., :n] = model.drift(x, t)
-        return out
+        return _variational_rate(z, model.drift(x, t),
+                                 model.drift_gradient(x, t))
     return rate
+
+
+def _variational_rate(z, drift, jac):
+    """Rate of the flow and its variational equation at z (..., n + n * n)
+    from the drift and the drift gradient at its state."""
+    n = jac.shape[-1]
+    lead = z.shape[:-1]
+    out = np.empty_like(z)
+    out[..., n:] = (jac @ z[..., n:].reshape(lead + (n, n))).reshape(
+        lead + (n * n,))
+    out[..., :n] = drift
+    return out
 
 
 def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,

@@ -28,7 +28,8 @@ from scipy.integrate import solve_ivp
 from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import DEFAULT_TOL, _check_point, _flow_rate, solve_flow
+from .flow import (DEFAULT_TOL, _check_point, _flow_rate, _variational_rate,
+                   solve_flow)
 
 #: condition number of the flow gradient above which the quadrature
 #: cross-check treats it as numerically singular
@@ -236,12 +237,11 @@ def _propagate_rk45(model, x0, t, tol, need_gradient):
         x = z[:n]
         pi = z[n + ng:].reshape(n, n)
         pi = 0.5 * (pi + pi.T)
-        jac = model.drift_gradient(x, s)
-        sig = model.diffusion(x, s)
+        drift, jac, sig = model.coefficients(x, s)
         out = np.empty_like(z)
         jp = jac @ pi
         out[n + ng:] = (jp + jp.T + sig @ sig.T).ravel()
-        out[:n] = model.drift(x, s)
+        out[:n] = drift
         if need_gradient:
             out[n:n + ng] = (jac @ z[n:n + ng].reshape(n, n)).ravel()
         return out
@@ -294,8 +294,9 @@ def _propagate_fixed_step(model, x0, t, dt, need_gradient):
     z = np.concatenate([x0, eye], axis=-1) if need_gradient else x0
     cov = np.zeros(x0.shape[:-1] + (n, n))
 
-    def rk4(zc, tc, hc):
-        k1 = rate(tc, zc)
+    def rk4(zc, tc, hc, k1=None):
+        if k1 is None:
+            k1 = rate(tc, zc)
         k2 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k1)
         k3 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k2)
         k4 = rate(tc + hc, zc + hc * k3)
@@ -305,11 +306,14 @@ def _propagate_fixed_step(model, x0, t, dt, need_gradient):
         for k in range(steps):
             tk = k * h
             z_mid = rk4(z, tk, 0.5 * h)
-            z = rk4(z_mid, tk + 0.5 * h, 0.5 * h)
-            x_mid = z_mid[..., :n]
-            phi, forcing = _midpoint_step(
-                model.drift_gradient(x_mid, tk + 0.5 * h),
-                model.diffusion(x_mid, tk + 0.5 * h), h)
+            # the midpoint coefficients also give the second half step's
+            # first stage
+            drift, jac, sig = model.coefficients(z_mid[..., :n],
+                                                 tk + 0.5 * h)
+            z = rk4(z_mid, tk + 0.5 * h, 0.5 * h,
+                    _variational_rate(z_mid, drift, jac)
+                    if need_gradient else drift)
+            phi, forcing = _midpoint_step(jac, sig, h)
             cov = phi @ cov @ np.swapaxes(phi, -1, -2) + forcing
     # mirror the lower triangle (eigvalsh's) so points and fields agree
     cov = np.tril(cov) + np.swapaxes(np.tril(cov, -1), -1, -2)

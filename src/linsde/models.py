@@ -32,7 +32,13 @@ __all__ = ["VectorFieldModel", "MeanderingJetParams", "builtin_model",
 class VectorFieldModel:
     """A stochastic model dy = u(y, t) dt + eps * sigma(y, t) dW.
 
-    ``drift_gradient`` is the exact analytic spatial gradient of the drift.
+    ``drift``, ``drift_gradient`` (the exact analytic spatial gradient of
+    the drift) and ``diffusion`` are the model contract; a user model needs
+    nothing else. :meth:`coefficients` evaluates all three at one point,
+    through a fused evaluation that shares work between them where the
+    catalog provides one (the meandering jet), else through the three
+    callables. The fused evaluation is not a constructor argument, so a
+    model rebuilt by ``dataclasses.replace`` always takes the callables.
     ``diffusion_gradient`` (shape (..., n, m, n), derivative axis last) is
     optional and only required by the 1-D Milstein scheme.
     ``analytic_flow`` / ``analytic_flow_gradient``, when present, give the
@@ -53,6 +59,14 @@ class VectorFieldModel:
     analytic_flow_gradient: Optional[Callable] = None
     domain: Optional[tuple] = None
     params: dict = field(default_factory=dict)
+    _fused: Optional[Callable] = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def coefficients(self, x, t):
+        """(drift, drift gradient, diffusion) at states x and times t."""
+        if self._fused is not None:
+            return self._fused(x, t)
+        return self.drift(x, t), self.drift_gradient(x, t), self.diffusion(x, t)
 
 
 @dataclass(frozen=True)
@@ -166,54 +180,79 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
     p = MeanderingJetParams(**kwargs)
     c, A, K, e, c1, k1, l1 = p.c, p.A, p.K, p.eps_mj, p.c1, p.k1, p.l1
 
-    def components(x):
-        # one point gives numpy scalars rather than 0-d arrays: the terms'
-        # values are the same, and scalar arithmetic is several times cheaper
+    def trig(x, t, phase=True):
+        # one point gives Python floats and numpy scalars rather than 0-d
+        # arrays: the terms' values are the same, and scalar arithmetic is
+        # several times cheaper
         x = np.asarray(x, dtype=float)
-        return x[..., 0][()], x[..., 1][()]
-
-    def drift(x, t):
-        y1, y2 = components(x)
+        y1, y2 = x.tolist() if x.ndim == 1 else (x[..., 0], x[..., 1])
+        terms = (np.sin(K * y1), np.cos(K * y1), np.sin(y2), np.cos(y2))
+        if not phase:
+            return terms
         ph = k1 * (y1 - c1 * t)
-        # every term carries the phase, so its shape is the output's
-        out = np.empty(ph.shape + (2,))
-        out[..., 0] = c - A * np.sin(K * y1) * np.cos(y2) \
-            + e * l1 * np.sin(ph) * np.cos(l1 * y2)
-        out[..., 1] = A * K * np.cos(K * y1) * np.sin(y2) \
-            + e * k1 * np.cos(ph) * np.sin(l1 * y2)
-        return out
+        return terms + (np.sin(ph), np.cos(ph), np.sin(l1 * y2),
+                        np.cos(l1 * y2))
+
+    def drift_entries(terms):
+        s1, cq, s2, c2, sp, cp, sl, cl = terms
+        return (c - A * s1 * c2 + e * l1 * sp * cl,
+                A * K * cq * s2 + e * k1 * cp * sl)
+
+    def gradient_entries(terms):
+        s1, cq, s2, c2, sp, cp, sl, cl = terms
+        return (-A * K * cq * c2 + e * l1 * k1 * cp * cl,
+                A * s1 * s2 - e * l1 ** 2 * sp * sl,
+                -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl,
+                A * K * cq * c2 + e * k1 * l1 * cp * cl)
+
+    def diffusion_entries(terms):
+        # columns model perturbations to the phase speed and the amplitude
+        s1, cq, s2, c2 = terms[:4]
+        return (1.0, s1 * c2, 0.0, K * cq * s2)
+
+    def pack(shape, entries, tail):
+        """``entries`` (row-major over ``tail``) of a batch of ``shape`` as
+        one contiguous array of shape ``shape + tail``."""
+        if not shape:
+            return np.array(entries).reshape(tail)
+        out = np.empty(shape + (len(entries),))
+        for k, entry in enumerate(entries):
+            out[..., k] = entry
+        return out.reshape(shape + tail)
+
+    # the phase terms carry t, so their shape is the drift's
+    def drift(x, t):
+        terms = trig(x, t)
+        return pack(terms[4].shape, drift_entries(terms), (2,))
 
     def drift_gradient(x, t):
-        y1, y2 = components(x)
-        ph = k1 * (y1 - c1 * t)
-        sp, cp = np.sin(ph), np.cos(ph)
-        s1, cq = np.sin(K * y1), np.cos(K * y1)
-        s2, c2 = np.sin(y2), np.cos(y2)
-        sl, cl = np.sin(l1 * y2), np.cos(l1 * y2)
-        out = np.empty(ph.shape + (2, 2))
-        out[..., 0, 0] = -A * K * cq * c2 + e * l1 * k1 * cp * cl
-        out[..., 0, 1] = A * s1 * s2 - e * l1 ** 2 * sp * sl
-        out[..., 1, 0] = -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl
-        out[..., 1, 1] = A * K * cq * c2 + e * k1 * l1 * cp * cl
-        return out
+        terms = trig(x, t)
+        return pack(terms[4].shape, gradient_entries(terms), (2, 2))
 
     def diffusion(x, t):
-        # columns model perturbations to the phase speed and the amplitude
-        y1, y2 = components(x)
-        out = np.empty(y1.shape + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = np.sin(K * y1) * np.cos(y2)
-        out[..., 1, 0] = 0.0
-        out[..., 1, 1] = K * np.cos(K * y1) * np.sin(y2)
-        return out
+        terms = trig(x, t, phase=False)
+        return pack(terms[0].shape, diffusion_entries(terms), (2, 2))
 
-    return VectorFieldModel(
+    def fused(x, t):
+        terms = trig(x, t)
+        u, g, d = (drift_entries(terms), gradient_entries(terms),
+                   diffusion_entries(terms))
+        if terms[4].ndim == 0:
+            # one point: one small array holds all three
+            buf = np.array(u + g + d)
+            return buf[:2], buf[2:6].reshape(2, 2), buf[6:].reshape(2, 2)
+        return (pack(terms[4].shape, u, (2,)), pack(terms[4].shape, g, (2, 2)),
+                pack(terms[0].shape, d, (2, 2)))
+
+    model = VectorFieldModel(
         name="meandering_jet", dim_state=2, dim_noise=2, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
         constants=_jet_constants(p),
         domain=((0.0, 0.0), (math.pi, math.pi)),
         params={"c": c, "A": A, "K": K, "eps_mj": e, "c1": c1,
                 "k1": k1, "l1": l1})
+    object.__setattr__(model, "_fused", fused)
+    return model
 
 
 _LINEAR_ADDITIVE_A = ((0.0, 1.0), (-1.0, -0.3))

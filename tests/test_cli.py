@@ -432,6 +432,24 @@ def test_failed_allocation_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, artifact", [("s2-field", "field.csv"),
+                                               ("simulate", "batch.csv")])
+def test_unwritable_artifact_exits_3(tmp_path, capsys, command, artifact):
+    # a directory where the artifact belongs makes the write fail
+    if command == "simulate":
+        cfg = simulate_config(tmp_path)
+    else:
+        cfg = {"command": "s2-field",
+               "model": {"name": "ornstein_uhlenbeck"},
+               "grid": [[-1.0, 1.0, 5]], "t": 0.5}
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert str(out / artifact) in err
+
+
 def _leaves(node, path=()):
     """Paths of the values of a config that are not sections."""
     for key, value in node.items():

@@ -1,7 +1,10 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from linsde import linearise
@@ -11,7 +14,7 @@ from linsde.flow import solve_flow
 from linsde.linearise import (GaussianState, InitialCondition,
                               covariance_by_quadrature,
                               linearised_distribution, propagate_covariance)
-from linsde.models import builtin_model
+from linsde.models import VectorFieldModel, builtin_model
 from linsde.sampling import SimulationConfig, sample_coupled
 from linsde.sensitivity import GridSpec, s2_field
 
@@ -197,6 +200,75 @@ def test_propagate_stack_equals_per_node_calls(jet, method, need_gradient):
             if part is not None:
                 assert whole.shape == (len(nodes),) + part.shape
                 np.testing.assert_array_equal(whole[i], part)
+
+
+def _count_calls(monkeypatch):
+    """Counter of ``coefficients`` calls on every model from now on."""
+    calls = collections.Counter()
+    coefficients = VectorFieldModel.coefficients
+
+    def counted(self, x, t):
+        calls["coefficients"] += 1
+        return coefficients(self, x, t)
+    monkeypatch.setattr(VectorFieldModel, "coefficients", counted)
+    return calls
+
+
+def _counting_callables(model, calls):
+    """Copy of ``model`` whose three coefficient callables count their calls
+    (the copy has no fused evaluation)."""
+    def wrap(name):
+        fn = getattr(model, name)
+
+        def counted(x, t):
+            calls[name] += 1
+            return fn(x, t)
+        return counted
+    return dataclasses.replace(model, **{
+        name: wrap(name) for name in ("drift", "drift_gradient", "diffusion")})
+
+
+NODES = np.array([[0.3, 1.1], [2.5, 0.4]])
+
+
+@pytest.mark.parametrize("need_gradient", [False, True])
+def test_adaptive_rhs_makes_one_coefficients_call(monkeypatch, jet,
+                                                  need_gradient):
+    nfev = []
+
+    def solve(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(linearise, "solve_ivp", solve)
+    calls = _count_calls(monkeypatch)
+    linearise._propagate_rk45(jet, NODES, 0.5, 1e-6, need_gradient)
+    assert calls == {"coefficients": sum(nfev)}
+    # without the fused evaluation each callable is called once instead
+    nfev.clear()
+    calls.clear()
+    linearise._propagate_rk45(_counting_callables(jet, calls), NODES, 0.5,
+                              1e-6, need_gradient)
+    n = sum(nfev)
+    assert calls == {"coefficients": n, "drift": n, "drift_gradient": n,
+                     "diffusion": n}
+
+
+@pytest.mark.parametrize("need_gradient", [False, True])
+def test_fixed_step_reuses_midpoint_coefficients(monkeypatch, jet,
+                                                 need_gradient):
+    # per step: seven RK4 stages through the flow rate, and one coefficients
+    # call at the midpoint that also gives the second half step's first stage
+    calls = _count_calls(monkeypatch)
+    steps = 5
+    linearise._propagate_fixed_step(_counting_callables(jet, calls), NODES,
+                                    0.5, 0.1, need_gradient)
+    assert calls == {"coefficients": steps, "drift": 8 * steps,
+                     "drift_gradient": (8 if need_gradient else 1) * steps,
+                     "diffusion": steps}
+    calls.clear()
+    linearise._propagate_fixed_step(jet, NODES, 0.5, 0.1, need_gradient)
+    assert calls == {"coefficients": steps}
 
 
 #: a non-normal 3x3 drift with 4 noise columns for the Van Loan oracle

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from linsde.exceptions import UnknownModelError
-from linsde.linearise import _propagate_rk45
-from linsde.models import MODEL_NAMES, builtin_model
+from linsde.linearise import _propagate_fixed_step, _propagate_rk45
+from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 
 from conftest import TEST_POINTS
 
@@ -259,17 +260,21 @@ def _stacked_jet(p):
 @pytest.mark.parametrize("shape, t_shape", [((2,), ()), ((64, 2), ()),
                                             ((3, 4, 2), ()),
                                             ((64, 2), (64,)),
+                                            ((2,), (5,)),
                                             ((4096, 2), ())])
 def test_jet_coefficients_equal_stacked_reference_bitwise(jet, shape, t_shape):
     # a reordered product changes the last bit at only a few percent of
-    # points, hence the large batch
+    # points, hence the large batch; the fused evaluation must agree too
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 4.0, shape)
     t = rng.uniform(0.0, 2.0, t_shape) if t_shape else 0.37
+    fused = dict(zip(("drift", "drift_gradient", "diffusion"),
+                     jet.coefficients(x, t)))
     for name, reference in _stacked_jet(jet.params).items():
-        got, want = getattr(jet, name)(x, t), reference(x, t)
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+        want = reference(x, t)
+        for got in (getattr(jet, name)(x, t), fused[name]):
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
 
 
 def test_jet_rk45_covariance_equals_concatenated_rhs_bitwise(jet):
@@ -295,3 +300,36 @@ def test_jet_rk45_covariance_equals_concatenated_rhs_bitwise(jet):
     state, grad, unit = _propagate_rk45(jet, x0, t, tol, True)
     assert np.array_equal(np.concatenate([state, grad.ravel(), unit.ravel()]),
                           zT)
+
+
+def test_replaced_coefficient_drops_the_fused_evaluation(jet):
+    # a model rebuilt with another diffusion must not keep the jet's fused
+    # evaluation, whose diffusion would then be stale
+    def diffusion(x, t):
+        return 2.0 * jet.diffusion(x, t)
+
+    x, t = np.array([0.3, 1.1]), 0.4
+    noisier = dataclasses.replace(jet, diffusion=diffusion)
+    drift, grad, sig = noisier.coefficients(x, t)
+    assert np.array_equal(sig, diffusion(x, t))
+    assert np.array_equal(drift, jet.drift(x, t))
+    assert np.array_equal(grad, jet.drift_gradient(x, t))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_user_model_needs_only_the_three_callables(name):
+    model = builtin_model(name)
+    user = VectorFieldModel(
+        name="user", dim_state=model.dim_state, dim_noise=model.dim_noise,
+        drift=model.drift, drift_gradient=model.drift_gradient,
+        diffusion=model.diffusion, constants=model.constants)
+    x = np.asarray(TEST_POINTS[name], dtype=float)
+    xs = np.stack([x, x + 0.1, x - 0.2])
+    for at in (x, xs):
+        for got, want in zip(user.coefficients(at, 0.3),
+                             model.coefficients(at, 0.3)):
+            assert np.array_equal(got, want)
+    for run in (lambda m: _propagate_rk45(m, x, 0.5, 1e-6, True),
+                lambda m: _propagate_fixed_step(m, xs, 0.5, 1e-2, True)):
+        for got, want in zip(run(user), run(model)):
+            assert np.array_equal(got, want)

@@ -1,9 +1,9 @@
 """Independent symbolic checks of the catalog's analytic pieces.
 
 Each catalog drift and diffusion is written here from its model equation,
-differentiated by sympy, and compared with the hand-coded gradients; the
-hand-derived coefficient suprema must dominate the symbolic ones over the
-documented domain.
+differentiated by sympy, and compared with the hand-coded callables and
+with the fused ``coefficients`` evaluation; the hand-derived coefficient
+suprema must dominate the symbolic ones over the documented domain.
 """
 
 import math
@@ -73,13 +73,16 @@ def test_gradients_match_symbolic_derivatives(name):
     lo, hi = (np.asarray(b, dtype=float) for b in model.domain)
     x = lo + (hi - lo) * rng.random((64, model.dim_state))
     t = 2.0 * rng.random(64)
-    pairs = [(model.drift, drift),
-             (model.drift_gradient, gradient(drift, ys)),
-             (model.diffusion, diffusion)]
+    fused = model.coefficients(x, t)
+    pairs = [(model.drift(x, t), drift), (fused[0], drift),
+             (model.drift_gradient(x, t), gradient(drift, ys)),
+             (fused[1], gradient(drift, ys)),
+             (model.diffusion(x, t), diffusion), (fused[2], diffusion)]
     if model.diffusion_gradient is not None:
-        pairs.append((model.diffusion_gradient, gradient(diffusion, ys)))
+        pairs.append((model.diffusion_gradient(x, t),
+                      gradient(diffusion, ys)))
     for coded, symbolic in pairs:
-        np.testing.assert_allclose(coded(x, t), evaluate(symbolic, ys, x, t),
+        np.testing.assert_allclose(coded, evaluate(symbolic, ys, x, t),
                                    rtol=1e-12, atol=1e-12)
 
 
