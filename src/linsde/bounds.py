@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from . import _checks
 from .exceptions import NumericalDomainError
 
 
@@ -56,10 +57,8 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("k_grad_u", "k_hess_u", "k_grad_sigma", "k_sigma"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not self.n >= 1:
-            raise ValueError("state dimension n must be a positive integer")
+            _checks.at_least(getattr(self, name), name)
+        _checks.integer(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,7 @@ def moment_constant(r: float) -> float:
     For a univariate Gaussian with standard deviation rho, the r-th absolute
     central moment equals moment_constant(r) * rho^r exactly.
     """
-    if not 0 <= r < math.inf:
-        raise ValueError(f"moment order must be finite and non-negative, "
-                         f"got {r}")
+    _checks.at_least(r, "r")
     return 2.0 ** (0.5 * r) * float(_gamma(0.5 * (r + 1.0))) / math.sqrt(math.pi)
 
 
@@ -125,15 +122,10 @@ def gaussian_delta_bound(sigma0: np.ndarray, r: float) -> float:
     which holds with equality when n = 1 (where it reduces to M_r rho^r
     with rho^2 = tr(Sigma0)). Returns delta_r itself, not its r-th power.
     """
-    if not 0 < r < math.inf:
-        raise ValueError(f"moment order must be finite and positive, got {r}")
-    sigma0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
-    if not np.all(np.isfinite(sigma0)):
-        raise ValueError("covariance must be finite")
+    _checks.positive(r, "r")
+    sigma0 = np.atleast_2d(_checks.finite_array(sigma0, "covariance"))
     n = sigma0.shape[0]
-    trace = float(np.trace(sigma0))
-    if trace < 0:
-        raise ValueError("covariance trace must be non-negative")
+    trace = _checks.at_least(float(np.trace(sigma0)), "covariance trace")
     delta_pow_r = n ** (1.5 * r - 1.0) * moment_constant(r) * trace ** (0.5 * r)
     return delta_pow_r ** (1.0 / r)
 
@@ -148,9 +140,7 @@ def lemma_constants(q: float, t: float, constants: BoundConstants) -> tuple[floa
     q * t yields +inf.
     """
     check_bound(q, t)
-    g = constants.bdg_constant(q)
-    if g <= 0:
-        raise ValueError("BDG constant must be positive")
+    g = _checks.positive(constants.bdg_constant(q), "BDG constant")
     pre = 3.0 ** (q - 1.0)
     growth = _exp(pre * constants.k_grad_u ** q * t ** q)
     h1 = pre * constants.n ** (1.5 * q) * constants.k_sigma ** (0.5 * q) \
@@ -163,12 +153,10 @@ def check_bound(r: float, t: float, epsilon: float = 0.0,
                 delta_r: float = 0.0, delta_2r: float = 0.0) -> None:
     """Reject arguments outside the bound's domain: finite r >= 1, t >= 0
     and epsilon, delta_r, delta_2r >= 0."""
-    if not math.isfinite(r) or r < 1:
-        raise ValueError(f"moment order must satisfy r >= 1, got {r}")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
-    if not all(0 <= v < math.inf for v in (epsilon, delta_r, delta_2r)):
-        raise ValueError("epsilon, delta_r and delta_2r must be finite and >= 0")
+    _checks.at_least(r, "r", 1)
+    for value, name in ((t, "t"), (epsilon, "epsilon"), (delta_r, "delta_r"),
+                        (delta_2r, "delta_2r")):
+        _checks.at_least(value, name)
 
 
 def theorem_constants(r: float, t: float, constants: BoundConstants) -> tuple[float, float, float]:
@@ -265,24 +253,25 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
     augmented with uniformly jittered points, at each of the given times.
     The returned values are lower estimates of the true suprema.
     """
+    _checks.integer(samples_per_axis, "samples_per_axis")
+    _checks.integer(n_jitter, "n_jitter", 0)
+    _checks.integer(n_probe, "n_probe", 0)
+    _checks.positive(fd_step, "fd_step")
+    times = [_checks.at_least(t, f"times[{i}]") for i, t in enumerate(times)]
     if domain is None:
         domain = model.domain
     if domain is None:
         raise ValueError(f"model {model.name!r} has no documented domain; "
                          "pass one explicitly")
-    lo = np.asarray(domain[0], dtype=float)
-    hi = np.asarray(domain[1], dtype=float)
     n = model.dim_state
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise ValueError("domain bounds must match the state dimension")
+    lo = _checks.finite_array(domain[0], "domain[0]", (n,))
+    hi = _checks.finite_array(domain[1], "domain[1]", (n,))
 
     axes = [np.linspace(lo[k], hi[k], samples_per_axis) for k in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     rng = np.random.default_rng(seed)
-    if n_jitter > 0:
-        jitter = lo + (hi - lo) * rng.random((n_jitter, n))
-        points = np.vstack([points, jitter])
+    points = np.vstack([points, lo + (hi - lo) * rng.random((n_jitter, n))])
 
     probes = np.vstack([np.eye(n), rng.standard_normal((n_probe, n))])
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from . import bounds as bnd
 from .artifacts import write_record, write_table
 from .exceptions import (ConfigError, CovarianceError, LinSDEError,
@@ -107,7 +108,7 @@ def _build_model(cfg: dict):
     name = _get(cfg, "model.name", str)
     params = _get(cfg, "model.params", dict, required=False, default={})
     with _rejected("model.name", UnknownModelError), \
-            _rejected("model.params", (TypeError, ValueError, MemoryError)):
+            _rejected("model.params", (TypeError, MemoryError, *_REJECTIONS)):
         return builtin_model(name, **params)
 
 
@@ -137,10 +138,8 @@ def _build_sim(cfg: dict) -> SimulationConfig:
 
 
 def _positive_time(cfg: dict) -> float:
-    t = _get(cfg, "t", (int, float))
-    if t <= 0:
-        raise ConfigError("t", "horizon must be positive")
-    return float(t)
+    with _rejected("t"):
+        return float(_checks.positive(_get(cfg, "t", (int, float)), "t"))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -192,8 +191,9 @@ def _run_simulate(run: _Run) -> tuple[SamplePairBatch, GaussianState]:
 def _run_histogram(run: _Run) -> None:
     bins = _get(run.cfg, "histogram.bins", (int, str), required=False,
                 default="fd")
-    if isinstance(bins, int) and bins < 1:
-        raise ConfigError("histogram.bins", "must be a positive integer")
+    if isinstance(bins, int):
+        with _rejected("histogram.bins"):
+            _checks.integer(bins, "bins")
     if isinstance(bins, str) and bins not in BIN_ESTIMATORS:
         raise ConfigError("histogram.bins", f"unknown estimator {bins!r}; "
                           f"available: {', '.join(BIN_ESTIMATORS)}")
@@ -333,9 +333,9 @@ def _run_s2_field(run: _Run, with_robust: bool) -> None:
     with _rejected(cfg["command"]):
         check_field(model, grid, **options)
     if with_robust:
-        threshold = _get(cfg, "threshold", (int, float))
-        if threshold < 0:
-            raise ConfigError("threshold", "must be non-negative")
+        with _rejected("threshold"):
+            threshold = _checks.at_least(
+                _get(cfg, "threshold", (int, float)), "threshold")
     field = s2_field(model, grid, t, **options)
     if with_robust:
         robust = extract_robust_set(field, float(threshold))

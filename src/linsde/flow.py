@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _checks
 from .exceptions import IntegrationFailure
 
 DEFAULT_TOL = 1e-8
@@ -57,16 +58,6 @@ class FlowPath:
             np.shape(times) + (n, n))
 
 
-def _check_point(point, n: int, name: str) -> np.ndarray:
-    """``point`` as a finite float array of shape (n,)."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {point.shape}")
-    if not np.all(np.isfinite(point)):
-        raise ValueError(f"{name} must be finite, got {point}")
-    return point
-
-
 def _flow_rate(model, with_gradient: bool):
     """Right-hand side ``rate(t, z)`` of the flow on states (..., n), or of
     the flow and its variational equation on (..., n + n * n), DF row-major."""
@@ -97,12 +88,9 @@ def solve_flow(model, x0, t_final: float, tol: float = DEFAULT_TOL,
                with_gradient: bool = True) -> FlowPath:
     """Integrate the flow (optionally with its gradient) and keep dense output."""
     n = model.dim_state
-    x0 = _check_point(x0, n, "x0")
-    if not np.isfinite(t_final) or t_final < 0:
-        raise ValueError(f"t_final must be finite and non-negative, "
-                         f"got {t_final}")
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    x0 = _checks.finite_array(x0, "x0", (n,))
+    _checks.at_least(t_final, "t_final")
+    _checks.positive(tol, "tol")
     if t_final == 0.0:
         return FlowPath(x0, 0.0, None, with_gradient)
 

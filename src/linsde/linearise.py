@@ -25,11 +25,11 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _checks
 from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import (DEFAULT_TOL, _check_point, _flow_rate, _variational_rate,
-                   solve_flow)
+from .flow import DEFAULT_TOL, _flow_rate, _variational_rate, solve_flow
 
 #: condition number of the flow gradient above which the quadrature
 #: cross-check treats it as numerically singular
@@ -127,9 +127,7 @@ class InitialCondition:
         if (covariance is None) == (rho is None):
             raise ValueError("specify exactly one of covariance or rho")
         if rho is not None:
-            if rho < 0:
-                raise ValueError("rho must be non-negative")
-            covariance = rho ** 2 * np.eye(n)
+            covariance = _checks.at_least(rho, "rho") ** 2 * np.eye(n)
         covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
         if covariance.shape != (n, n):
             raise ValueError(f"covariance must have shape ({n}, {n})")
@@ -140,7 +138,9 @@ class InitialCondition:
     def validate(self) -> "InitialCondition":
         if self.kind not in ("fixed", "gaussian"):
             raise ValueError(f"unknown initial-condition kind {self.kind!r}")
-        _check_covariance(self.covariance, "InitialCondition")
+        n = _check_covariance(self.covariance, "InitialCondition").shape[0]
+        _checks.finite_array(self.mean, "mean", (n,))
+        _checks.finite_array(self.reference_point, "reference_point", (n,))
         if self.kind == "fixed":
             if np.any(self.covariance != 0.0):
                 raise ValueError("fixed initial condition must have zero covariance")
@@ -178,17 +178,13 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     result raises IntegrationFailure.
     """
     n = model.dim_state
-    x0 = _check_point(x0, n, "x0")
+    x0 = _checks.finite_array(x0, "x0", (n,))
     if mean0 is not None:
-        mean0 = _check_point(mean0, n, "mean0")
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise ValueError(f"epsilon must be finite and non-negative, "
-                         f"got {epsilon}")
-    if not (np.isfinite(tol) and np.isfinite(dt)) or tol <= 0 or dt <= 0:
-        raise ValueError(f"tol and dt must be finite and positive, "
-                         f"got {tol} and {dt}")
+        mean0 = _checks.finite_array(mean0, "mean0", (n,))
+    _checks.at_least(t, "t")
+    _checks.at_least(epsilon, "epsilon")
+    _checks.positive(tol, "tol")
+    _checks.positive(dt, "dt")
     if method not in METHODS:
         raise ValueError(f"unknown covariance integrator {method!r}")
     sigma_init = np.zeros((n, n)) if sigma_init is None \
@@ -336,16 +332,13 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     Equals the unit-noise covariance from :func:`propagate_covariance`
     (epsilon = 1, zero initial covariance) up to discretisation error.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = model.dim_state
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    x0 = _checks.finite_array(x0, "x0", (n,))
+    _checks.at_least(t, "t")
+    n_sub = max(16, int(np.ceil(QUAD_NODES_PER_UNIT_TIME * t))) \
+        if quad_points is None else _checks.integer(quad_points, "quad_points")
     if t == 0.0:
         return np.zeros((n, n))
-    n_sub = quad_points if quad_points is not None \
-        else max(16, int(np.ceil(QUAD_NODES_PER_UNIT_TIME * t)))
-    if n_sub < 1:
-        raise ValueError("quad_points must be a positive integer")
 
     path = solve_flow(model, x0, t, tol=tol, with_gradient=True)
     nodes, weights = np.polynomial.legendre.leggauss(5)

@@ -15,12 +15,13 @@ and Brownian motion as its named cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
 
+from . import _checks
 from .bounds import BoundConstants
 from .exceptions import UnknownModelError
 
@@ -85,6 +86,10 @@ class MeanderingJetParams:
     c1: float = math.pi
     k1: float = 1.0
     l1: float = 2.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            _checks.finite(getattr(self, f.name), f.name)
 
 
 def _sine_model() -> VectorFieldModel:
@@ -267,8 +272,11 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
     b = np.array(_LINEAR_ADDITIVE_B if b_vector is None else b_vector, dtype=float)
     S = np.array(_LINEAR_ADDITIVE_SIGMA if sigma_matrix is None else sigma_matrix,
                  dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,) or S.shape[0] != n:
+    for arr, name in ((A, "a_matrix"), (b, "b_vector"), (S, "sigma_matrix")):
+        _checks.finite_array(arr, name)
+    n = A.shape[0] if A.ndim == 2 else 0
+    if A.shape != (n, n) or b.shape != (n,) or S.ndim != 2 \
+            or S.shape[0] != n or S.shape[1] < 1:
         raise ValueError("inconsistent linear-additive coefficient shapes")
     m = S.shape[1]
     aug = np.zeros((n + 1, n + 1))
@@ -316,17 +324,14 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
 
 def _ornstein_uhlenbeck_model(a: float = 1.0) -> VectorFieldModel:
     # dy = -a y dt + eps dW; terminal variance eps^2 (1 - e^{-2at}) / (2a)
-    if not 0 < a < math.inf:
-        raise ValueError(f"Ornstein-Uhlenbeck rate must be positive and "
-                         f"finite, got a={a}")
+    _checks.positive(a, "a")
     return replace(_linear_additive_model([[-a]], [0.0], [[1.0]]),
                    name="ornstein_uhlenbeck", params={"a": a})
 
 
 def _brownian_model(dim: int = 1) -> VectorFieldModel:
     # dy = eps dW: zero drift and identity diffusion
-    if dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim}")
+    _checks.integer(dim, "dim")
     return replace(_linear_additive_model(np.zeros((dim, dim)), np.zeros(dim),
                                           np.eye(dim)),
                    name="brownian", domain=((-1.0,) * dim, (1.0,) * dim),

@@ -31,13 +31,13 @@ batch and flag count are those of the cell sampled alone.
 from __future__ import annotations
 
 import json
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _checks
 from .artifacts import write_table
 from .exceptions import BatchError
 from .flow import solve_flow
@@ -58,10 +58,6 @@ BLOCK_STEPS = 128
 MAX_FLAGGED_FRACTION = 0.01
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Fixed-step configuration for the coupled sampler."""
@@ -73,21 +69,14 @@ class SimulationConfig:
     t_final: Optional[float] = None
 
     def __post_init__(self):
-        if isinstance(self.dt, bool) or not np.isfinite(self.dt) \
-                or self.dt <= 0:
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _checks.positive(self.dt, "dt")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"available: {', '.join(SCHEMES)}")
-        if not _is_integer(self.n_samples) or self.n_samples < 1:
-            raise ValueError(f"n_samples must be a positive integer, "
-                             f"got {self.n_samples!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, "
-                             f"got {self.seed!r}")
-        if self.t_final is not None and not 0 < self.t_final < np.inf:
-            raise ValueError(f"t_final must be finite and positive, "
-                             f"got {self.t_final!r}")
+        _checks.integer(self.n_samples, "n_samples")
+        _checks.integer(self.seed, "seed", 0)
+        if self.t_final is not None:
+            _checks.positive(self.t_final, "t_final")
 
     def steps_for(self, t: float) -> int:
         """Integer step count for horizon t (dt is stretched to divide t)."""
@@ -112,11 +101,8 @@ class SamplePairBatch:
     model_name: str = ""
 
     def __post_init__(self):
-        if self.y_samples.shape != self.l_samples.shape:
-            raise ValueError("sample arrays must share a shape")
-        if not (np.all(np.isfinite(self.y_samples))
-                and np.all(np.isfinite(self.l_samples))):
-            raise ValueError("sample arrays must be finite")
+        _checks.finite_array(self.y_samples, "y_samples")
+        _checks.finite_array(self.l_samples, "l_samples", self.y_samples.shape)
 
     def __len__(self) -> int:
         return self.y_samples.shape[0]
@@ -302,8 +288,7 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     ``config``'s step and scheme; a cell's own errors carry its label."""
     if not cells:
         raise ValueError("no cells to sample")
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError(f"t must be finite and positive, got {t}")
+    _checks.positive(t, "t")
     if config.t_final is not None and abs(config.t_final - t) > 1e-12:
         raise ValueError(f"config.t_final={config.t_final} conflicts with t={t}")
     n, m = model.dim_state, model.dim_noise
@@ -316,9 +301,7 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     ref_point = cells[0].init.reference_point
     for cell in cells:
         with _labelled(cell.label):
-            if not np.isfinite(cell.epsilon) or cell.epsilon < 0:
-                raise ValueError(f"epsilon must be finite and non-negative, "
-                                 f"got {cell.epsilon}")
+            _checks.at_least(cell.epsilon, "epsilon")
             cell.init.validate()
             if cell.init.dim != n:
                 raise ValueError(f"initial condition dimension "

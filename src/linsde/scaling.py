@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _checks
 from .artifacts import write_table
 from .linearise import InitialCondition
-from .sampling import (Cell, SamplePairBatch, SimulationConfig, _is_integer,
-                       sample_cells)
+from .sampling import Cell, SamplePairBatch, SimulationConfig, sample_cells
 
 __all__ = ["strong_error", "moment_orders", "SweepResult", "sweep_cells",
            "run_sweep", "read_sweep",
@@ -43,10 +43,8 @@ def strong_error(batch: SamplePairBatch, r: float) -> tuple[float, float]:
 def moment_orders(r) -> list[float]:
     """One moment order or a sequence of them, as a list of floats; every
     order must be finite and non-negative."""
-    orders = [float(o) for o in np.atleast_1d(np.asarray(r, dtype=float))]
-    if not all(np.isfinite(o) and o >= 0 for o in orders):
-        raise ValueError("moment order must be finite and non-negative")
-    return orders
+    return [float(_checks.at_least(o, "r"))
+            for o in ([r] if np.ndim(r) == 0 else r)]
 
 
 def _estimate_from_distances(dist: np.ndarray, r: float) -> tuple[float, float]:
@@ -307,14 +305,16 @@ def _resampled_estimates(sweep: SweepResult, n_boot: int,
     return out
 
 
-def _check_bootstrap(n_boot, seed, level: float = 0.5) -> None:
-    """Reject a bootstrap's replicate count, seed or confidence level."""
-    if not _is_integer(n_boot) or n_boot < 1:
-        raise ValueError(f"n_boot must be a positive integer, got {n_boot!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_bootstrap(sweep: SweepResult, n_boot, seed,
+                     level: float = 0.5) -> None:
+    """Reject a bootstrap's replicate count, seed or confidence level, and
+    a sweep run without ``keep_distances``."""
+    _checks.integer(n_boot, "n_boot")
+    _checks.integer(seed, "seed", 0)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    if sweep.distances is None:
+        raise ValueError("sweep was run without keep_distances=True")
 
 
 def bootstrap_coefficients(sweep: SweepResult, basis: str,
@@ -324,9 +324,7 @@ def bootstrap_coefficients(sweep: SweepResult, basis: str,
     Requires the sweep to have been run with ``keep_distances=True``.
     Returns an array of shape (n_boot, n_coefficients).
     """
-    _check_bootstrap(n_boot, seed)
-    if sweep.distances is None:
-        raise ValueError("sweep was run without keep_distances=True")
+    _check_bootstrap(sweep, n_boot, seed)
     design = _fit_design(sweep, basis)
     resp = _resampled_estimates(sweep, n_boot, seed)
     if basis == "loglog_line":
@@ -344,9 +342,7 @@ def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
     An interval containing 0 means no significant curvature: the growth
     is statistically consistent with a straight line in rho.
     """
-    _check_bootstrap(n_boot, seed, level)
-    if sweep.distances is None:
-        raise ValueError("sweep was run without keep_distances=True")
+    _check_bootstrap(sweep, n_boot, seed, level)
     if np.unique(sweep.epsilons).size > 1:
         raise ValueError("restrict the sweep to a single epsilon first")
     x = sweep.rhos

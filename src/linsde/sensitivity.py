@@ -24,13 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _checks
 from .artifacts import write_table
 from .exceptions import FieldError
 from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
                         propagate_covariance)
 from .models import builtin_model, MODEL_NAMES
-from .sampling import SimulationConfig, _is_integer, sample_nonlinear
+from .sampling import SimulationConfig, sample_nonlinear
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
@@ -67,16 +68,10 @@ class GridSpec:
     axes: tuple
 
     def __post_init__(self):
-        for ax in self.axes:
-            lo, hi, count = ax
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"axis bounds must be finite, "
-                                 f"got ({lo}, {hi})")
-            if not _is_integer(count) or count < 1:
-                raise ValueError(f"axis count must be a positive integer, "
-                                 f"got {count!r}")
-            if hi < lo:
-                raise ValueError("axis max must be at least axis min")
+        for lo, hi, count in self.axes:
+            _checks.finite(lo, "axis min")
+            _checks.at_least(hi, "axis max", lo)
+            _checks.integer(count, "axis count")
 
     @property
     def dim(self) -> int:
@@ -159,17 +154,15 @@ def check_field(model, grid: GridSpec, workers: int = 1,
                 dt: float = 2e-3) -> None:
     """Reject :func:`s2_field` arguments that cannot give a field; the
     defaults are :func:`s2_field`'s."""
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
+    _checks.integer(workers, "workers")
     if method not in METHODS:
         raise ValueError(f"unknown field method {method!r}; available: "
                          f"{', '.join(METHODS)}")
     if grid.dim != model.dim_state:
         raise ValueError(f"grid dimension {grid.dim} does not match the "
                          f"model dimension {model.dim_state}")
-    if not (np.isfinite(tol) and np.isfinite(dt)) or tol <= 0 or dt <= 0:
-        raise ValueError(f"tol and dt must be finite and positive, "
-                         f"got {tol} and {dt}")
+    _checks.positive(tol, "tol")
+    _checks.positive(dt, "dt")
 
 
 def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
@@ -186,8 +179,7 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     missing raises FieldError.
     """
     check_field(model, grid, workers, tol, method, dt)
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    _checks.at_least(t, "t")
     nodes = grid.points()
     chunk = CHUNK_NODES[method]
     blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]
@@ -227,8 +219,8 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
     sequence approaches :func:`s2_point` as the scale decreases, up to
     Monte-Carlo error.
     """
-    if not all(np.isfinite(eps) and eps > 0 for eps in epsilons):
-        raise ValueError("epsilons must be finite and positive")
+    for i, eps in enumerate(epsilons):
+        _checks.positive(eps, f"epsilons[{i}]")
     init = InitialCondition.fixed(x0)
     out = []
     for eps in epsilons:
@@ -253,8 +245,7 @@ class RobustSet:
 
 def extract_robust_set(field: S2Field, threshold: float) -> RobustSet:
     """Nodes with sensitivity at or below the threshold (missing nodes excluded)."""
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise ValueError("threshold must be finite and non-negative")
+    _checks.at_least(threshold, "threshold")
     with np.errstate(invalid="ignore"):
         mask = field.values <= threshold
     return RobustSet(mask, float(threshold))

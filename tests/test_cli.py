@@ -387,6 +387,16 @@ BAD_INPUTS = [
     ("validate-scaling", "basis", [["const_plus_eps2"]], []),
     ("validate-scaling", "basis", [{}], []),
     ("validate-scaling", "basis", ["const_plus_eps2", 1], []),
+    # catalog parameters go through the argument rules: a bool is no number
+    ("s2-field", "model.params", {"K": True}, []),
+    ("simulate", "model", {"name": "ornstein_uhlenbeck",
+                           "params": {"a": True}}, []),
+    # coefficient shapes that used to escape as an IndexError
+    ("simulate", "model", {"name": "linear_additive",
+                           "params": {"a_matrix": 1.0}}, []),
+    ("simulate", "model", {"name": "linear_additive",
+                           "params": {"a_matrix": [[1.0]], "b_vector": [0.0],
+                                      "sigma_matrix": [[]]}}, []),
 ]
 
 
@@ -479,12 +489,18 @@ _VALUES = st.one_of(
     st.just(_DELETE))
 
 
-#: the configs the property test mutates: each command's probe config, and
-#: a bound with a Gaussian start and an explicit constants mapping
+#: the configs the property test mutates: each command's probe config (the
+#: s2-field one with jet parameters), and a bound with a Gaussian start and
+#: an explicit constants mapping
 _FUZZ_BASES = cli.COMMANDS + ("bound with rho and constants",)
 
 
 def _fuzz_base(name):
+    if name == "s2-field":
+        # model parameters, so that mutations reach the catalog's rules
+        cfg = _probe_base(Path("."), name)
+        cfg["model"]["params"] = {"K": 4.0, "eps_mj": 0.3}
+        return cfg
     if name in cli.COMMANDS:
         return _probe_base(Path("."), name)
     cfg = _probe_base(Path("."), "bound")
@@ -496,18 +512,19 @@ def _fuzz_base(name):
 
 @st.composite
 def _mutated_configs(draw):
-    """A fuzz base config with one leaf replaced by an arbitrary value or
-    deleted."""
+    """A fuzz base config with one or two leaves each replaced by an
+    arbitrary value or deleted."""
     cfg = _fuzz_base(draw(st.sampled_from(_FUZZ_BASES)))
-    *parents, leaf = draw(st.sampled_from(sorted(_leaves(cfg))))
-    node = cfg
-    for part in parents:
-        node = node[part]
-    value = draw(_VALUES)
-    if value is _DELETE:
-        del node[leaf]
-    else:
-        node[leaf] = value
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, leaf = draw(st.sampled_from(sorted(_leaves(cfg))))
+        node = cfg
+        for part in parents:
+            node = node[part]
+        value = draw(_VALUES)
+        if value is _DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
     return cfg
 
 

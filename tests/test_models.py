@@ -30,7 +30,7 @@ def test_ou_invalid_rate():
     with pytest.raises(ValueError):
         builtin_model("ornstein_uhlenbeck", a=-1.0)
     for a in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^a must be finite and positive"):
             builtin_model("ornstein_uhlenbeck", a=a)
 
 

@@ -174,8 +174,8 @@ class TestS2Field:
 
     @pytest.mark.parametrize("option,value,message", [
         ("workers", 0, "workers"), ("method", "euler", "method"),
-        ("tol", 0.0, "tol and dt"), ("dt", -1e-3, "tol and dt"),
-        ("tol", math.nan, "tol and dt"), ("dt", math.inf, "tol and dt")])
+        ("tol", 0.0, "tol must"), ("dt", -1e-3, "dt must"),
+        ("tol", math.nan, "tol must"), ("dt", math.inf, "dt must")])
     def test_arguments_checked_before_any_node(self, monkeypatch, jet,
                                                option, value, message):
         # with tol = 0 every node used to fail and the field raised
