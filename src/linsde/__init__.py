@@ -17,8 +17,7 @@ from .exceptions import (BatchError, ConfigError, CovarianceError, FieldError,
                          UnknownModelError)
 from .flow import FlowPath, solve_flow
 from .linearise import (GaussianState, InitialCondition,
-                        covariance_by_quadrature, linearised_distribution,
-                        propagate_covariance)
+                        covariance_by_quadrature, linearised_distribution)
 from .models import (MODEL_NAMES, MeanderingJetParams, VectorFieldModel,
                      builtin_model)
 from .sampling import (SamplePairBatch, SimulationConfig, draw_initial,
@@ -44,8 +43,8 @@ __all__ = [
     "default_bdg_constant", "draw_initial", "estimate_constants",
     "extract_robust_set", "fit_scaling", "gaussian_delta_bound",
     "lemma_constants", "linearised_distribution", "moment_constant",
-    "propagate_covariance", "read_batch", "read_field", "read_sweep",
-    "rho_curvature_interval", "run_sweep", "s2_empirical_limit", "s2_field",
-    "s2_point", "sample_coupled", "sample_nonlinear", "solve_flow",
-    "strong_error", "theorem_constants", "write_robust_csv",
+    "read_batch", "read_field", "read_sweep", "rho_curvature_interval",
+    "run_sweep", "s2_empirical_limit", "s2_field", "s2_point",
+    "sample_coupled", "sample_nonlinear", "solve_flow", "strong_error",
+    "theorem_constants", "write_robust_csv",
 ]

@@ -43,10 +43,24 @@ def integer(value, name: str, low: int = 1):
                    if low else "a non-negative integer")
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array of at least one axis if every entry is a
+    real number; an array is judged by its dtype, anything else entry by
+    entry, since np.asarray makes floats of [True, 2.0] and ["0.5"]."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        real = value.dtype.kind in "iuf"
+    else:
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in np.asarray(value, dtype=object).flat)
+    if not real:
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
 def finite_array(value, name: str, shape=None) -> np.ndarray:
     """``value`` as a float array of at least one axis, with finite entries
     and the ``shape`` when one is given (a point of R^n has shape (n,))."""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    arr = real_array(value, name)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

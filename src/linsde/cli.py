@@ -286,6 +286,8 @@ def _run_bound(run: _Run) -> None:
     epsilon = float(_get(cfg, "bound.epsilon", (int, float)))
     rho = _get(cfg, "bound.rho", (int, float), required=False)
     if rho is not None:
+        if {"delta_r", "delta_2r"} & cfg["bound"].keys():
+            raise ConfigError("bound", "give rho or delta_r/delta_2r, not both")
         with _rejected("bound.rho"):
             sigma0 = InitialCondition.gaussian(np.zeros(model.dim_state),
                                                rho=rho).covariance

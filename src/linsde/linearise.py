@@ -35,7 +35,7 @@ from .flow import DEFAULT_TOL, _flow_rate, _variational_rate, solve_flow
 #: cross-check treats it as numerically singular
 COND_LIMIT = 1e12
 
-#: covariance integrators of :func:`propagate_covariance` and s2 fields
+#: covariance integrators of :func:`linearised_distribution` and s2 fields
 METHODS = ("rk45", "mazzoni")
 
 #: dense-output nodes per unit time for the quadrature cross-check
@@ -115,24 +115,24 @@ class InitialCondition:
 
     @classmethod
     def fixed(cls, x0) -> "InitialCondition":
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        x0 = _checks.real_array(x0, "x0")
         n = x0.shape[0]
         return cls("fixed", x0, x0.copy(), np.zeros((n, n)), rho=0.0)
 
     @classmethod
     def gaussian(cls, mean, covariance=None, rho: Optional[float] = None,
                  reference_point=None) -> "InitialCondition":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        mean = _checks.real_array(mean, "mean")
         n = mean.shape[0]
         if (covariance is None) == (rho is None):
             raise ValueError("specify exactly one of covariance or rho")
         if rho is not None:
             covariance = _checks.at_least(rho, "rho") ** 2 * np.eye(n)
-        covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
+        covariance = np.atleast_2d(_checks.real_array(covariance, "covariance"))
         if covariance.shape != (n, n):
             raise ValueError(f"covariance must have shape ({n}, {n})")
         ref = mean.copy() if reference_point is None \
-            else np.atleast_1d(np.asarray(reference_point, dtype=float))
+            else _checks.real_array(reference_point, "reference_point")
         return cls("gaussian", ref, mean, covariance, rho=rho)
 
     def validate(self) -> "InitialCondition":
@@ -154,22 +154,21 @@ class InitialCondition:
         return self.reference_point.shape[0]
 
 
-def propagate_covariance(model, x0, t: float, epsilon: float,
-                         sigma_init=None, tol: float = DEFAULT_TOL,
-                         mean0=None, method: str = "rk45",
-                         dt: float = 1e-3) -> GaussianState:
-    """Propagate the linearised mean and covariance to time t.
+def linearised_distribution(model, init: InitialCondition, t: float,
+                            epsilon: float, tol: float = DEFAULT_TOL,
+                            method: str = "rk45", dt: float = 1e-3) -> GaussianState:
+    """Gaussian law at time t of the linearised solution from ``init``.
 
-    By linearity the law splits into an initial-uncertainty part and an
-    ongoing-noise part,
+    With x0, mean0 and Sigma0 the reference point, mean and covariance of
+    ``init``, the law splits by linearity into
 
         mean = F(t) + DF(t) (mean0 - x0),
-        Pi(t) = DF(t) sigma_init DF(t)^T + eps^2 P1(t),
+        Pi(t) = DF(t) Sigma0 DF(t)^T + eps^2 P1(t),
 
-    where P1 is the unit-noise covariance: the solution of the covariance
-    ODE with eps = 1 from P1(0) = 0. Only P1, the reference state and
-    (when sigma_init is non-zero or the mean is offset from x0) the flow
-    gradient DF are integrated, so one solve serves every noise scale.
+    where P1, the unit-noise covariance, solves the covariance ODE with
+    eps = 1 from P1(0) = 0. Only P1, the reference state and (when Sigma0
+    is non-zero or the mean is offset) the flow gradient DF are
+    integrated, so one solve serves every noise scale.
 
     ``method`` selects the kernel of :func:`_propagate`, the one s2 fields
     use: "rk45" (default, adaptive embedded Runge-Kutta on the augmented
@@ -177,27 +176,25 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     use of ``tol``; its congruence keeps P1 symmetric PSD). A non-finite
     result raises IntegrationFailure.
     """
-    n = model.dim_state
-    x0 = _checks.finite_array(x0, "x0", (n,))
-    if mean0 is not None:
-        mean0 = _checks.finite_array(mean0, "mean0", (n,))
+    init.validate()
+    if init.dim != model.dim_state:
+        raise ValueError(f"initial condition has shape ({init.dim},), model "
+                         f"{model.name!r} needs ({model.dim_state},)")
     _checks.at_least(t, "t")
     _checks.at_least(epsilon, "epsilon")
     _checks.positive(tol, "tol")
     _checks.positive(dt, "dt")
     if method not in METHODS:
         raise ValueError(f"unknown covariance integrator {method!r}")
-    sigma_init = np.zeros((n, n)) if sigma_init is None \
-        else _check_covariance(sigma_init, "sigma_init")
-    offset = None
-    if mean0 is not None and not np.array_equal(mean0, x0):
-        offset = mean0 - x0
+    x0 = init.reference_point
+    sigma0 = _check_covariance(init.covariance, "InitialCondition")
+    offset = None if np.array_equal(init.mean, x0) else init.mean - x0
 
     if t == 0.0:
         mean = x0.copy() if offset is None else x0 + offset
-        return GaussianState(mean, sigma_init.copy(), 0.0, epsilon).validate()
+        return GaussianState(mean, sigma0, 0.0, epsilon).validate()
 
-    need_gradient = offset is not None or bool(np.any(sigma_init))
+    need_gradient = offset is not None or bool(np.any(sigma0))
     state, grad, unit = _propagate(model, x0, t, method, tol, dt,
                                    need_gradient)
     if not (np.isfinite(state).all() and np.isfinite(unit).all()
@@ -209,7 +206,7 @@ def propagate_covariance(model, x0, t: float, epsilon: float,
     mean = state if offset is None else state + grad @ offset
     cov = epsilon ** 2 * unit
     if need_gradient:
-        cov = cov + grad @ sigma_init @ grad.T
+        cov = cov + grad @ sigma0 @ grad.T
     cov = 0.5 * (cov + cov.T)
     return GaussianState(mean, cov, float(t), float(epsilon)).validate()
 
@@ -329,8 +326,8 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     invertible flow gradient along the trajectory; the node time is named
     if the gradient is numerically singular there.
 
-    Equals the unit-noise covariance from :func:`propagate_covariance`
-    (epsilon = 1, zero initial covariance) up to discretisation error.
+    Equals the covariance from :func:`linearised_distribution` with
+    epsilon = 1 from a fixed start, up to discretisation error.
     """
     n = model.dim_state
     x0 = _checks.finite_array(x0, "x0", (n,))
@@ -362,20 +359,3 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     grad_t = path.gradient(t)
     cov = grad_t @ integral @ grad_t.T
     return 0.5 * (cov + cov.T)
-
-
-def linearised_distribution(model, init: InitialCondition, t: float,
-                            epsilon: float, tol: float = DEFAULT_TOL,
-                            method: str = "rk45", dt: float = 1e-3) -> GaussianState:
-    """Full Gaussian law of the linearised solution at time t.
-
-    The mean is flow(t) + DF(t) (mean0 - x0) and the covariance is
-    DF Sigma0 DF^T + eps^2 * (unit-noise covariance), both assembled by
-    :func:`propagate_covariance`.
-    """
-    init.validate()
-    if init.dim != model.dim_state:
-        raise ValueError("initial condition dimension does not match model")
-    return propagate_covariance(model, init.reference_point, t, epsilon,
-                                sigma_init=init.covariance, tol=tol,
-                                mean0=init.mean, method=method, dt=dt)

@@ -164,19 +164,23 @@ def _jet_constants(p: MeanderingJetParams) -> BoundConstants:
     # entrywise amplitude bounds; Frobenius of the bound matrix dominates
     # the spectral norm, so these are valid (crude) suprema
     A, K, e, k1, l1 = p.A, p.K, p.eps_mj, p.k1, p.l1
-    g = np.array([[A * K + e * l1 * k1, A + e * l1 ** 2],
-                  [A * K ** 2 + e * k1 ** 2, A * K + e * k1 * l1]])
-    k_grad_u = float(np.linalg.norm(g))
-    h = np.array([A * K ** 2 + e * l1 * k1 ** 2,   # u1: d11
-                  A * K + e * l1 ** 2 * k1,        # u1: d12 = d21
-                  A + e * l1 ** 3,                 # u1: d22
-                  A * K ** 3 + e * k1 ** 3,        # u2: d11
-                  A * K ** 2 + e * k1 ** 2 * l1,   # u2: d12 = d21
-                  A * K + e * k1 * l1 ** 2])       # u2: d22
-    k_hess_u = float(math.sqrt(float(h[0] ** 2 + 2 * h[1] ** 2 + h[2] ** 2
-                                     + h[3] ** 2 + 2 * h[4] ** 2 + h[5] ** 2)))
-    k_grad_sigma = float(math.sqrt(K ** 2 + 1.0 + K ** 4 + K ** 2))
-    k_sigma = float(math.sqrt(1.0 + 1.0 + K ** 2))
+    try:
+        g = np.array([[A * K + e * l1 * k1, A + e * l1 ** 2],
+                      [A * K ** 2 + e * k1 ** 2, A * K + e * k1 * l1]])
+        k_grad_u = float(np.linalg.norm(g))
+        h = np.array([A * K ** 2 + e * l1 * k1 ** 2,   # u1: d11
+                      A * K + e * l1 ** 2 * k1,        # u1: d12 = d21
+                      A + e * l1 ** 3,                 # u1: d22
+                      A * K ** 3 + e * k1 ** 3,        # u2: d11
+                      A * K ** 2 + e * k1 ** 2 * l1,   # u2: d12 = d21
+                      A * K + e * k1 * l1 ** 2])       # u2: d22
+        k_hess_u = float(math.sqrt(float(h[0] ** 2 + 2 * h[1] ** 2 + h[2] ** 2
+                                         + h[3] ** 2 + 2 * h[4] ** 2 + h[5] ** 2)))
+        k_grad_sigma = float(math.sqrt(K ** 2 + 1.0 + K ** 4 + K ** 2))
+        k_sigma = float(math.sqrt(1.0 + 1.0 + K ** 2))
+    except OverflowError:
+        raise ValueError(f"meandering_jet bound constants overflow for A={A!r}, "
+                         f"K={K!r}, eps_mj={e!r}, k1={k1!r}, l1={l1!r}") from None
     return BoundConstants(k_grad_u=k_grad_u, k_hess_u=k_hess_u,
                           k_grad_sigma=k_grad_sigma, k_sigma=k_sigma, n=2)
 

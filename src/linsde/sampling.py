@@ -66,7 +66,6 @@ class SimulationConfig:
     scheme: str = "euler_maruyama"
     n_samples: int = 1000
     seed: int = 0
-    t_final: Optional[float] = None
 
     def __post_init__(self):
         _checks.positive(self.dt, "dt")
@@ -75,8 +74,6 @@ class SimulationConfig:
                              f"available: {', '.join(SCHEMES)}")
         _checks.integer(self.n_samples, "n_samples")
         _checks.integer(self.seed, "seed", 0)
-        if self.t_final is not None:
-            _checks.positive(self.t_final, "t_final")
 
     def steps_for(self, t: float) -> int:
         """Integer step count for horizon t (dt is stretched to divide t)."""
@@ -84,8 +81,7 @@ class SimulationConfig:
 
     def to_json(self) -> dict:
         return {"dt": self.dt, "scheme": self.scheme,
-                "n_samples": self.n_samples, "seed": int(self.seed),
-                "t_final": self.t_final}
+                "n_samples": self.n_samples, "seed": int(self.seed)}
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,7 @@ class SamplePairBatch:
     epsilon: float
     rho: Optional[float]
     config: SimulationConfig
+    t: float
     n_flagged: int = 0
     model_name: str = ""
 
@@ -113,6 +110,7 @@ class SamplePairBatch:
                 "rho": None if self.rho is None else float(self.rho),
                 "n_flagged": int(self.n_flagged),
                 "n_retained": int(len(self)),
+                "t": float(self.t),
                 "config": self.config.to_json()}
 
     def write_csv(self, path) -> None:
@@ -130,7 +128,8 @@ def read_batch(csv_path, sidecar_path) -> SamplePairBatch:
     n = data.shape[1] // 2
     cfg = SimulationConfig(**meta["config"])
     return SamplePairBatch(data[:, :n], data[:, n:], meta["epsilon"],
-                           meta["rho"], cfg, meta["n_flagged"], meta["model"])
+                           meta["rho"], cfg, meta["t"], meta["n_flagged"],
+                           meta["model"])
 
 
 class _Key(np.random.bit_generator.ISeedSequence):
@@ -243,9 +242,9 @@ def sample_cells(model, cells, t: float,
     """
     results = _terminal_samples(model, cells, t, config, coupled=True)
     return [SamplePairBatch(y, l, float(cell.epsilon), cell.init.rho,
-                            replace(config, seed=cell.seed, n_samples=cell.n,
-                                    t_final=float(t)),
-                            n_flagged=n_flagged, model_name=model.name)
+                            replace(config, seed=cell.seed, n_samples=cell.n),
+                            float(t), n_flagged=n_flagged,
+                            model_name=model.name)
             for cell, (y, l, n_flagged) in zip(cells, results)]
 
 
@@ -289,8 +288,6 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     if not cells:
         raise ValueError("no cells to sample")
     _checks.positive(t, "t")
-    if config.t_final is not None and abs(config.t_final - t) > 1e-12:
-        raise ValueError(f"config.t_final={config.t_final} conflicts with t={t}")
     n, m = model.dim_state, model.dim_noise
     milstein = config.scheme == "milstein_1d"
     if milstein and not (n == 1 and m == 1):

@@ -10,7 +10,7 @@ axes) verifies the predicted scaling forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -157,7 +157,7 @@ def run_sweep(model, mean, rho_values: Sequence[float],
     orders = moment_orders(r)
     scalar = np.ndim(r) == 0
     cells = sweep_cells(mean, rho_values, epsilon_values, config)
-    batches = sample_cells(model, cells, t, replace(config, t_final=None))
+    batches = sample_cells(model, cells, t, config)
     dists = [np.linalg.norm(b.y_samples - b.l_samples, axis=1)
              for b in batches]
     results = []
@@ -349,8 +349,10 @@ def rho_curvature_interval(sweep: SweepResult, n_boot: int = 1000,
     design = np.column_stack([np.ones_like(x), x, x ** 2])
     # one residual degree of freedom is enough here: the interval width,
     # not the point fit, carries the uncertainty
-    if design.shape[0] < design.shape[1] + 1:
-        raise ValueError("need at least four distinct rho cells")
+    if design.shape[0] < design.shape[1] + 1 \
+            or np.linalg.matrix_rank(design) < design.shape[1]:
+        raise ValueError("need at least four rho cells with three distinct "
+                         f"rho values, got {x.tolist()}")
     coef, _, _, _ = np.linalg.lstsq(design, sweep.estimates, rcond=None)
     resp = _resampled_estimates(sweep, n_boot, seed)
     boots = np.linalg.lstsq(design, resp.T, rcond=None)[0][2]

@@ -29,7 +29,7 @@ from .artifacts import write_table
 from .exceptions import FieldError
 from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
-                        propagate_covariance)
+                        linearised_distribution)
 from .models import builtin_model, MODEL_NAMES
 from .sampling import SimulationConfig, sample_nonlinear
 
@@ -56,9 +56,9 @@ def s2_point(model, x0, t: float, tol: float = DEFAULT_TOL,
     initial covariance) propagated to time t; equals the spectral norm
     since the covariance is symmetric positive semi-definite.
     """
-    state = propagate_covariance(model, x0, t, epsilon=1.0, tol=tol,
-                                 method=method, dt=dt)
-    return float(np.linalg.eigvalsh(state.covariance)[-1])
+    law = linearised_distribution(model, InitialCondition.fixed(x0), t, 1.0,
+                                  tol=tol, method=method, dt=dt)
+    return float(np.linalg.eigvalsh(law.covariance)[-1])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from scipy.special import gamma
 from linsde.bounds import (bound_rhs, estimate_constants,
                            gaussian_delta_bound, moment_constant)
 from linsde.linearise import (InitialCondition, covariance_by_quadrature,
-                              linearised_distribution, propagate_covariance)
+                              linearised_distribution)
 from linsde.models import builtin_model
 from linsde.sampling import SimulationConfig, sample_coupled
 from linsde.scaling import fit_scaling, rho_curvature_interval, run_sweep
@@ -79,7 +79,8 @@ def test_c02_covariance_cross_check():
     for name, params, x0 in cases:
         model = builtin_model(name, **params)
         for t in (0.25, 0.5, 1.0):
-            ode = propagate_covariance(model, x0, t, epsilon=1.0).covariance
+            ode = linearised_distribution(model, InitialCondition.fixed(x0),
+                                          t, epsilon=1.0).covariance
             quad = covariance_by_quadrature(model, x0, t)
             rel = np.linalg.norm(ode - quad) / max(np.linalg.norm(ode), 1e-300)
             worst = max(worst, rel)

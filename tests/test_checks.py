@@ -13,8 +13,8 @@ import linsde
 from linsde import (BoundConstants, GridSpec, InitialCondition,
                     SimulationConfig, builtin_model, covariance_by_quadrature,
                     estimate_constants, gaussian_delta_bound,
-                    propagate_covariance, s2_empirical_limit, s2_field,
-                    solve_flow)
+                    linearised_distribution, s2_empirical_limit, s2_field,
+                    s2_point, solve_flow)
 from linsde._checks import at_least, finite, finite_array, integer, positive
 from linsde.bounds import check_bound
 from linsde.scaling import moment_orders
@@ -41,9 +41,10 @@ BAD_ARGUMENTS = [
     ("InitialCondition.gaussian",
      lambda v: InitialCondition.gaussian([0.0], rho=v), "rho", inf),
     ("solve_flow", lambda v: solve_flow(OU, [0.5], 1.0, tol=v), "tol", True),
-    ("propagate_covariance",
-     lambda v: propagate_covariance(JET, [0.3, 1.1], 1.0, 0.1,
-                                    method="mazzoni", dt=v), "dt", True),
+    ("linearised_distribution",
+     lambda v: linearised_distribution(JET, InitialCondition.fixed([0.3, 1.1]),
+                                       1.0, 0.1, method="mazzoni", dt=v),
+     "dt", True),
     ("gaussian_delta_bound", lambda v: gaussian_delta_bound([[0.01]], v),
      "r", True),
     ("check_bound", lambda v: check_bound(v, 1.0), "r", True),
@@ -52,8 +53,6 @@ BAD_ARGUMENTS = [
      lambda v: s2_empirical_limit(OU, [1.0], 1.0, [v],
                                   SimulationConfig(n_samples=10)),
      "epsilons[0]", True),
-    ("SimulationConfig", lambda v: SimulationConfig(t_final=v), "t_final",
-     True),
     ("estimate_constants", lambda v: estimate_constants(OU, n_jitter=v),
      "n_jitter", -3),
     ("estimate_constants", lambda v: estimate_constants(OU, times=v),
@@ -85,6 +84,14 @@ BAD_ARGUMENTS = [
     ("builtin_model",
      lambda v: builtin_model("linear_additive", a_matrix=v, b_vector=[0.0],
                              sigma_matrix=[[1.0]]), "a_matrix", [[nan]]),
+    # np.asarray reads a bool or a numeric string as a float
+    ("solve_flow", lambda v: solve_flow(OU, v, 1.0), "x0", [True]),
+    ("s2_point", lambda v: s2_point(JET, v, 0.5), "x0", [True, "1.0"]),
+    ("InitialCondition.gaussian",
+     lambda v: InitialCondition.gaussian(v, rho=0.1), "mean", ["0.5"]),
+    ("InitialCondition.gaussian",
+     lambda v: InitialCondition.gaussian([0.0], rho=0.1, reference_point=v),
+     "reference_point", [np.True_]),
     # estimated from the jitter points alone before the rules
     ("estimate_constants",
      lambda v: estimate_constants(OU, samples_per_axis=v),
@@ -142,6 +149,15 @@ class TestRules:
             finite_array([1.0, 2.0, 3.0], "x", (2,))
         with pytest.raises(ValueError, match="^m must be finite"):
             finite_array([[1.0, nan]], "m")
+
+    @pytest.mark.parametrize("value", [[True, 2.0], ["0.5"], "0.5", None,
+                                       [[1.0], [True]], np.array([True]),
+                                       np.array(["0.5"]), [1j]])
+    def test_array_of_bools_or_strings_is_rejected(self, value):
+        # np.asarray would make [1.0, 2.0] of [True, 2.0] and [0.5] of
+        # ["0.5"]: a list is read entry by entry, an array by its dtype
+        with pytest.raises(ValueError, match=r"^x0 must hold real numbers"):
+            finite_array(value, "x0")
 
 
 #: phrases of the rules' messages; a raise elsewhere that uses one is a

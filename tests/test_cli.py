@@ -63,6 +63,9 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "out" / "batch.json").read_text())
         assert sidecar["config_sha256"] == law["config_sha256"]
         assert sidecar["seed"] == 11
+        # the horizon is recorded once, beside the simulation settings
+        assert sidecar["t"] == law["t"] == 0.5
+        assert "t_final" not in sidecar["config"]
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, simulate_config(tmp_path))
@@ -397,6 +400,11 @@ BAD_INPUTS = [
     ("simulate", "model", {"name": "linear_additive",
                            "params": {"a_matrix": [[1.0]], "b_vector": [0.0],
                                       "sigma_matrix": [[]]}}, []),
+    # the initial uncertainty is given once: as rho or as the deltas
+    ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "rho": 0.01,
+                        "delta_r": 0.1}, []),
+    ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "rho": 0.01,
+                        "delta_2r": 0.0}, []),
 ]
 
 

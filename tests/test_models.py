@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def test_ou_invalid_rate():
 def test_brownian_invalid_dim():
     with pytest.raises(ValueError):
         builtin_model("brownian", dim=0)
+
+
+@pytest.mark.parametrize("params", [{"K": 1e200}, {"k1": 1e200}])
+def test_jet_constant_overflow_is_a_value_error(params):
+    # float ** raises OverflowError in the catalog constants
+    (name, value), = params.items()
+    with pytest.raises(ValueError, match=f"bound constants overflow .*"
+                                         f"{re.escape(f'{name}={value!r}')}"):
+        builtin_model("meandering_jet", **params)
 
 
 #: every catalog model, with defaults and with non-default parameters

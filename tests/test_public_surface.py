@@ -1,10 +1,14 @@
 """The package's public names, pinned so that any change to them is
 deliberate."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import linsde
-from linsde import flow, models
+from linsde import flow, linearise, models
+from linsde.sampling import SamplePairBatch, SimulationConfig
 
 PUBLIC = [
     "BASES", "BatchError", "BoundBreakdown", "BoundConstants", "ConfigError",
@@ -17,10 +21,10 @@ PUBLIC = [
     "builtin_model", "covariance_by_quadrature", "default_bdg_constant",
     "draw_initial", "estimate_constants", "extract_robust_set", "fit_scaling",
     "gaussian_delta_bound", "lemma_constants", "linearised_distribution",
-    "moment_constant", "propagate_covariance", "read_batch", "read_field",
-    "read_sweep", "rho_curvature_interval", "run_sweep", "s2_empirical_limit",
-    "s2_field", "s2_point", "sample_coupled", "sample_nonlinear",
-    "solve_flow", "strong_error", "theorem_constants", "write_robust_csv",
+    "moment_constant", "read_batch", "read_field", "read_sweep",
+    "rho_curvature_interval", "run_sweep", "s2_empirical_limit", "s2_field",
+    "s2_point", "sample_coupled", "sample_nonlinear", "solve_flow",
+    "strong_error", "theorem_constants", "write_robust_csv",
 ]
 
 
@@ -42,9 +46,23 @@ def test_star_import_gives_exactly_the_public_names():
 
 @pytest.mark.parametrize("module, name", [
     (flow, "integrate_flow"), (flow, "integrate_flow_with_gradient"),
-    (flow, "FlowResult"), (models, "eval_model")])
+    (flow, "FlowResult"), (models, "eval_model"),
+    (linearise, "propagate_covariance")])
 def test_deleted_name_is_gone(module, name):
-    # the flow has one entry point, solve_flow, and the coefficients are
-    # the model's own callables
+    # the flow has one entry point, solve_flow, the coefficients are the
+    # model's own callables, and the law has one, linearised_distribution
     assert not hasattr(module, name)
     assert not hasattr(linsde, name)
+
+
+def test_run_inputs_are_stated_once():
+    # the horizon is the t argument alone: the config holds the step, and
+    # the batch and its sidecar record the t it was sampled to
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+        "dt", "scheme", "n_samples", "seed"]
+    batch = SamplePairBatch(np.zeros((2, 1)), np.zeros((2, 1)), 0.1, None,
+                            SimulationConfig(), 1.5)
+    assert sorted(batch.sidecar()) == ["config", "epsilon", "model",
+                                       "n_flagged", "n_retained", "rho", "t"]
+    assert sorted(batch.sidecar()["config"]) == ["dt", "n_samples", "scheme",
+                                                 "seed"]

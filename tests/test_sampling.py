@@ -39,7 +39,7 @@ class TestConfig:
     @pytest.mark.parametrize("option, value", [
         ("dt", math.nan), ("dt", math.inf), ("dt", True),
         ("n_samples", 2.5), ("n_samples", True), ("seed", 1.5),
-        ("seed", False), ("t_final", math.nan), ("t_final", math.inf)])
+        ("seed", False)])
     def test_rejects_nonfinite_and_non_integer_values(self, option, value):
         # these used to fail later, or (dt = inf) to run one silent step
         with pytest.raises(ValueError, match=option):
@@ -49,11 +49,6 @@ class TestConfig:
         cfg = SimulationConfig(dt=1e-3)
         assert cfg.steps_for(1.5) == 1500
         assert cfg.steps_for(1e-5) == 1  # rounded up to one step
-
-    def test_t_final_conflict(self, sine):
-        cfg = SimulationConfig(dt=1e-2, n_samples=10, seed=0, t_final=1.0)
-        with pytest.raises(ValueError, match="t_final"):
-            sample_coupled(sine, InitialCondition.fixed([0.5]), 0.1, 2.0, cfg)
 
 
 class TestDrawInitial:
@@ -438,10 +433,11 @@ class TestBatchSerialisation:
         np.testing.assert_array_equal(back.l_samples, batch.l_samples)
         assert back.epsilon == batch.epsilon
         assert back.config == batch.config
+        assert back.t == batch.t == 0.5
         assert back.model_name == "meandering_jet"
 
     def test_batch_requires_finite(self):
         from linsde.sampling import SamplePairBatch
         with pytest.raises(ValueError):
             SamplePairBatch(np.array([[np.nan]]), np.array([[0.0]]),
-                            0.1, 0.0, SimulationConfig())
+                            0.1, 0.0, SimulationConfig(), 1.0)

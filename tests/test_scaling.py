@@ -19,7 +19,8 @@ def make_batch(y, l, epsilon=0.1, rho=0.0):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     l = np.atleast_2d(np.asarray(l, dtype=float))
     return SamplePairBatch(y, l, epsilon, rho,
-                           SimulationConfig(n_samples=max(1, y.shape[0])))
+                           SimulationConfig(n_samples=max(1, y.shape[0])),
+                           1.0)
 
 
 def synthetic_sweep(xs, values, axis="epsilon", r=1.0, other=0.0,
@@ -255,6 +256,13 @@ class TestBootstrap:
             np.testing.assert_allclose(
                 rho_curvature_interval(sweep, n_boot=200, seed=3)[1:],
                 np.quantile(boots, [0.025, 0.975]), rtol=1e-12, atol=0)
+
+    def test_curvature_interval_needs_three_distinct_rho(self):
+        # four cells on two rho values leave the quadratic undetermined
+        sweep = synthetic_sweep([0.0, 0.1, 0.1, 0.1], [1.0, 1.3, 1.31, 1.29],
+                                axis="rho", distances=[np.ones(10)] * 4)
+        with pytest.raises(ValueError, match="three distinct rho values"):
+            rho_curvature_interval(sweep, n_boot=50)
 
     def test_requires_distances(self):
         sweep = synthetic_sweep([0.01, 0.02, 0.05, 0.1], np.ones(4))

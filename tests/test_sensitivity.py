@@ -6,7 +6,7 @@ import pytest
 
 from linsde import linearise, sensitivity
 from linsde.artifacts import write_record
-from linsde.linearise import propagate_covariance
+from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.sampling import SimulationConfig
 from linsde.sensitivity import (GridSpec, S2Field, check_field,
                                 extract_robust_set, read_field,
@@ -51,7 +51,8 @@ class TestS2Point:
         # is attained in the top eigendirection (power-method probe)
         x0 = [0.3, 1.1]
         value = s2_point(jet, x0, 1.0)
-        cov = propagate_covariance(jet, x0, 1.0, epsilon=1.0).covariance
+        cov = linearised_distribution(jet, InitialCondition.fixed(x0), 1.0,
+                                      epsilon=1.0).covariance
         rng = np.random.default_rng(11)
         probes = rng.standard_normal((64, 2))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
