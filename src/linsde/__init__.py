@@ -21,7 +21,7 @@ from .linearise import (GaussianState, InitialCondition,
 from .models import (MODEL_NAMES, MeanderingJetParams, VectorFieldModel,
                      builtin_model)
 from .sampling import (SamplePairBatch, SimulationConfig, draw_initial,
-                       read_batch, sample_coupled, sample_nonlinear)
+                       read_batch, sample_coupled)
 from .scaling import (BASES, ScalingFit, SweepResult, bootstrap_coefficients,
                       fit_scaling, read_sweep, rho_curvature_interval,
                       run_sweep, strong_error)
@@ -45,6 +45,6 @@ __all__ = [
     "lemma_constants", "linearised_distribution", "moment_constant",
     "read_batch", "read_field", "read_sweep", "rho_curvature_interval",
     "run_sweep", "s2_empirical_limit", "s2_field", "s2_point",
-    "sample_coupled", "sample_nonlinear", "solve_flow", "strong_error",
-    "theorem_constants", "write_robust_csv",
+    "sample_coupled", "solve_flow", "strong_error", "theorem_constants",
+    "write_robust_csv",
 ]

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import _checks
-from .artifacts import write_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
 from .flow import DEFAULT_TOL, _flow_rate, _variational_rate, solve_flow
@@ -87,9 +86,6 @@ class GaussianState:
         n = mean.shape[0]
         cov = np.asarray(data["covariance"], dtype=float).reshape(n, n)
         return cls(mean, cov, float(data["t"]), float(data["epsilon"]))
-
-    def save(self, path) -> None:
-        write_record(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "GaussianState":

@@ -272,12 +272,12 @@ _LINEAR_ADDITIVE_SIGMA = ((0.8, 0.2), (0.1, 0.6))
 def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> VectorFieldModel:
     # dy = (A y + b) dt + eps * Sigma dW; linear drift + additive noise,
     # so the linearisation about any reference trajectory is exact
-    A = np.array(_LINEAR_ADDITIVE_A if a_matrix is None else a_matrix, dtype=float)
-    b = np.array(_LINEAR_ADDITIVE_B if b_vector is None else b_vector, dtype=float)
-    S = np.array(_LINEAR_ADDITIVE_SIGMA if sigma_matrix is None else sigma_matrix,
-                 dtype=float)
-    for arr, name in ((A, "a_matrix"), (b, "b_vector"), (S, "sigma_matrix")):
-        _checks.finite_array(arr, name)
+    # copies, so that a caller's later edit of its array does not reach them
+    A, b, S = (_checks.finite_array(value, name).copy() for value, name in (
+        (_LINEAR_ADDITIVE_A if a_matrix is None else a_matrix, "a_matrix"),
+        (_LINEAR_ADDITIVE_B if b_vector is None else b_vector, "b_vector"),
+        (_LINEAR_ADDITIVE_SIGMA if sigma_matrix is None else sigma_matrix,
+         "sigma_matrix")))
     n = A.shape[0] if A.ndim == 2 else 0
     if A.shape != (n, n) or b.shape != (n,) or S.ndim != 2 \
             or S.shape[0] != n or S.shape[1] < 1:

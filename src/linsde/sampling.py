@@ -22,10 +22,12 @@ worker count; the keys of a chunk's samples come from one vectorised pass of
 the SeedSequence hash. Samples that leave the floating-point range mid-path
 are flagged and excluded; a flag rate above 1 percent aborts the batch.
 
-Several cells (initial law, noise scale, seed, sample count) that share the
-model, horizon, step, scheme and reference point are stepped together on
-one sample axis (``sample_cells``), as the scaling sweeps do; each cell's
-batch and flag count are those of the cell sampled alone.
+``sample_cells`` is the one stepping loop. It steps several cells (initial
+law, noise scale, seed, sample count) that share the model, horizon, step,
+scheme and reference point together on one sample axis, as the scaling
+sweeps do; each cell's batch and flag count are those of the cell sampled
+alone. ``sample_coupled`` is its one-cell case, and a caller that needs the
+nonlinear samples alone reads a batch's ``y_samples``.
 """
 
 from __future__ import annotations
@@ -229,25 +231,6 @@ class Cell(NamedTuple):
     label: str = ""
 
 
-def sample_cells(model, cells, t: float,
-                 config: SimulationConfig) -> list[SamplePairBatch]:
-    """Coupled batches of several cells that share model, horizon, step,
-    scheme and reference point, stepped together.
-
-    The reference trajectory is solved once. All cells' samples lie on one
-    axis and advance in chunks of at most ``CHUNK_SAMPLES``; each sample
-    keeps the stream of its index within its cell, so every batch equals
-    the one ``sample_coupled`` gives for that cell alone. ``config``
-    supplies dt and the scheme; each cell its seed and sample count.
-    """
-    results = _terminal_samples(model, cells, t, config, coupled=True)
-    return [SamplePairBatch(y, l, float(cell.epsilon), cell.init.rho,
-                            replace(config, seed=cell.seed, n_samples=cell.n),
-                            float(t), n_flagged=n_flagged,
-                            model_name=model.name)
-            for cell, (y, l, n_flagged) in zip(cells, results)]
-
-
 def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
                    config: SimulationConfig) -> SamplePairBatch:
     """Simulate terminal pairs of the nonlinear SDE and its linearisation.
@@ -262,13 +245,6 @@ def sample_coupled(model, init: InitialCondition, epsilon: float, t: float,
     """
     cell = Cell(init, epsilon, config.seed, config.n_samples)
     return sample_cells(model, [cell], t, config)[0]
-
-
-def sample_nonlinear(model, init: InitialCondition, epsilon: float, t: float,
-                     config: SimulationConfig) -> np.ndarray:
-    """Terminal samples of the nonlinear SDE alone (same streams as coupled)."""
-    cell = Cell(init, epsilon, config.seed, config.n_samples)
-    return _terminal_samples(model, [cell], t, config, coupled=False)[0][0]
 
 
 @contextmanager
@@ -299,6 +275,8 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
     for cell in cells:
         with _labelled(cell.label):
             _checks.at_least(cell.epsilon, "epsilon")
+            _checks.integer(cell.n, "n")
+            _checks.integer(cell.seed, "seed", 0)
             cell.init.validate()
             if cell.init.dim != n:
                 raise ValueError(f"initial condition dimension "
@@ -308,8 +286,17 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
                 raise ValueError("cells must share one reference point")
 
 
-def _terminal_samples(model, cells, t, config, coupled):
-    """(y, l, n_flagged) per cell; l is None unless ``coupled``."""
+def sample_cells(model, cells, t: float,
+                 config: SimulationConfig) -> list[SamplePairBatch]:
+    """Coupled batches of several cells that share model, horizon, step,
+    scheme and reference point, stepped together.
+
+    The reference trajectory is solved once. All cells' samples lie on one
+    axis and advance in chunks of at most ``CHUNK_SAMPLES``; each sample
+    keeps the stream of its index within its cell, so every batch equals
+    the one ``sample_coupled`` gives for that cell alone. ``config``
+    supplies dt and the scheme; each cell its seed and sample count.
+    """
     check_cells(model, cells, t, config)
     n, m = model.dim_state, model.dim_noise
     milstein = config.scheme == "milstein_1d"
@@ -321,24 +308,21 @@ def _terminal_samples(model, cells, t, config, coupled):
     sqrt_h = np.sqrt(h)
     tgrid = np.linspace(0.0, t, steps + 1)
 
-    if coupled:
-        # the linearised scheme is affine in the deviation d = l - ref:
-        # d_{k+1} = A_k d_k + r_k + eps sig_k dW_k with A_k = I + h J_k and
-        # r_k = ref_k + h u_k - ref_{k+1}, so with P_k = A_{S-1} ... A_k
-        # (P_S = I) its terminal state is
-        # l_S = ref_S + P_0 d_0 + sum_k P_{k+1} r_k + eps sum_k P_{k+1} sig_k dW_k
-        path = solve_flow(model, ref_point, t, with_gradient=False)
-        ref = path.state(tgrid)                                   # (S+1, n)
-        u_ref = model.drift(ref[:-1], tgrid[:-1])                 # (S, n)
-        jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])      # (S, n, n)
-        sig_ref = model.diffusion(ref[:-1], tgrid[:-1])           # (S, n, m)
-        prop = np.empty((steps + 1, n, n))
-        prop[steps] = np.eye(n)
-        for k in range(steps - 1, -1, -1):
-            prop[k] = prop[k + 1] + h * prop[k + 1] @ jac_ref[k]
-        gain_t = np.swapaxes(prop[1:] @ sig_ref, 1, 2).copy()     # (S, m, n)
-        resid = ref[:-1] + h * u_ref - ref[1:]                    # (S, n)
-        l_base = ref[-1] + np.einsum("kij,kj->i", prop[1:], resid)
+    # the linearised scheme is affine in the deviation d = l - ref:
+    # d_{k+1} = A_k d_k + r_k + eps sig_k dW_k with A_k = I + h J_k and
+    # r_k = ref_k + h u_k - ref_{k+1}, so with P_k = A_{S-1} ... A_k
+    # (P_S = I) its terminal state is
+    # l_S = ref_S + P_0 d_0 + sum_k P_{k+1} r_k + eps sum_k P_{k+1} sig_k dW_k
+    # the reference (S+1, n) and its coefficients (S, n), (S, n, n), (S, n, m)
+    ref = solve_flow(model, ref_point, t, with_gradient=False).state(tgrid)
+    u_ref, jac_ref, sig_ref = model.coefficients(ref[:-1], tgrid[:-1])
+    prop = np.empty((steps + 1, n, n))
+    prop[steps] = np.eye(n)
+    for k in range(steps - 1, -1, -1):
+        prop[k] = prop[k + 1] + h * prop[k + 1] @ jac_ref[k]
+    gain_t = np.swapaxes(prop[1:] @ sig_ref, 1, 2).copy()         # (S, m, n)
+    resid = ref[:-1] + h * u_ref - ref[1:]                        # (S, n)
+    l_base = ref[-1] + np.einsum("kij,kj->i", prop[1:], resid)
 
     # one sample axis over all cells, with each sample's noise scale
     sizes = [cell.n for cell in cells]
@@ -349,10 +333,10 @@ def _terminal_samples(model, cells, t, config, coupled):
         half_eps2 = np.repeat([0.5 * cell.epsilon ** 2 for cell in cells],
                               sizes)
     y_out = np.empty((n_total, n))
-    l_out = np.empty((n_total, n)) if coupled else None
+    l_out = np.empty((n_total, n))
 
     def advance(start, stop):
-        """Step samples start:stop of the joint axis into y_out (and l_out).
+        """Step samples start:stop of the joint axis into y_out and l_out.
         The chunk's streams and noise buffer live only in this call, so the
         next chunk's never meet them in memory."""
         parts, rngs = [], []
@@ -368,7 +352,7 @@ def _terminal_samples(model, cells, t, config, coupled):
         buf = np.empty((stop - start, min(steps, BLOCK_STEPS), m))
 
         y = x_init.copy()
-        acc = np.zeros((stop - start, n)) if coupled else None
+        acc = np.zeros((stop - start, n))
         # scratch for one step: the step, its noise term and a column product
         y_step, noise, prod = (np.empty((stop - start, n)) for _ in range(3))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -395,26 +379,21 @@ def _terminal_samples(model, cells, t, config, coupled):
                     s_der = model.diffusion_gradient(y, tk)[:, 0, 0, 0]
                     y_step[:, 0] += half_eps2[start:stop] * s_val * s_der \
                         * (dw[:, 0] ** 2 - h)
-                if coupled:
-                    for j in range(m):
-                        acc += np.multiply(dw[:, j:j + 1], gain_t[k, j],
-                                           out=prod)
+                for j in range(m):
+                    acc += np.multiply(dw[:, j:j + 1], gain_t[k, j], out=prod)
                 y += y_step
-            if coupled:
-                l_out[start:stop] = l_base + (x_init - ref[0]) @ prop[0].T \
-                    + eps_k * acc
+            l_out[start:stop] = l_base + (x_init - ref[0]) @ prop[0].T \
+                + eps_k * acc
         y_out[start:stop] = y
 
     for start in range(0, n_total, CHUNK_SAMPLES):
         advance(start, min(start + CHUNK_SAMPLES, n_total))
 
-    results = []
+    batches = []
     for c, cell in enumerate(cells):
         y = y_out[offsets[c]:offsets[c + 1]]
-        l = l_out[offsets[c]:offsets[c + 1]] if coupled else None
-        keep = np.all(np.isfinite(y), axis=1)
-        if coupled:
-            keep &= np.all(np.isfinite(l), axis=1)
+        l = l_out[offsets[c]:offsets[c + 1]]
+        keep = np.all(np.isfinite(y) & np.isfinite(l), axis=1)
         n_flagged = int(cell.n - keep.sum())
         if n_flagged > MAX_FLAGGED_FRACTION * cell.n:
             with _labelled(cell.label):
@@ -423,6 +402,10 @@ def _terminal_samples(model, cells, t, config, coupled):
                     f"(> {MAX_FLAGGED_FRACTION:.0%}) for model "
                     f"{model.name!r} at epsilon={cell.epsilon}")
         if n_flagged:
-            y, l = y[keep], l[keep] if coupled else None
-        results.append((y, l, n_flagged))
-    return results
+            y, l = y[keep], l[keep]
+        batches.append(SamplePairBatch(
+            y, l, float(cell.epsilon), cell.init.rho,
+            replace(config, seed=cell.seed, n_samples=cell.n), float(t),
+            n_flagged=n_flagged, model_name=model.name))
+    return batches
+

@@ -31,7 +31,7 @@ from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
                         linearised_distribution)
 from .models import builtin_model, MODEL_NAMES
-from .sampling import SimulationConfig, sample_nonlinear
+from .sampling import SimulationConfig, sample_coupled
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
@@ -213,8 +213,8 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
                        config: SimulationConfig) -> list[float]:
     """Small-noise Monte-Carlo estimates converging to the sensitivity value.
 
-    For each noise scale, simulates the nonlinear SDE from the fixed
-    initial condition, forms the sample covariance of the terminal states,
+    For each noise scale, takes the nonlinear terminal states of the coupled
+    sampler from the fixed initial condition, forms their sample covariance,
     and rescales its top eigenvalue by the squared noise scale. The
     sequence approaches :func:`s2_point` as the scale decreases, up to
     Monte-Carlo error.
@@ -224,7 +224,7 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
     init = InitialCondition.fixed(x0)
     out = []
     for eps in epsilons:
-        y = sample_nonlinear(model, init, eps, t, config)
+        y = sample_coupled(model, init, eps, t, config).y_samples
         cov = np.cov(y, rowvar=False).reshape(model.dim_state,
                                               model.dim_state)
         out.append(float(np.linalg.eigvalsh(cov)[-1] / eps ** 2))

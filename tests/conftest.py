@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from linsde.models import VectorFieldModel, builtin_model
 
@@ -58,3 +59,32 @@ def cubic_model(sine):
         drift_gradient=lambda x, t:
             3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
         diffusion=sine.diffusion, constants=sine.constants)
+
+
+def van_loan_covariance(a, sigma, t):
+    """int_0^t e^{As} S S^T e^{A^T s} ds from one block exponential:
+    expm([[-A, S S^T], [0, A^T]] t) = [[., G], [0, e^{A^T t}]] and the
+    integral is e^{At} G (Van Loan 1978)."""
+    a, sigma = np.asarray(a), np.asarray(sigma)
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -a
+    block[:n, n:] = sigma @ sigma.T
+    block[n:, n:] = a.T
+    e = expm(block * t)
+    cov = e[n:, n:].T @ e[:n, n:]
+    return 0.5 * (cov + cov.T)
+
+
+def linear_additive_law(a, b, sigma, mean0, sigma0, eps, t):
+    """Mean and covariance at t of dy = (A y + b) dt + eps S dW from
+    N(mean0, Sigma0): e^{At} mean0 plus the integral of e^{A(t-s)} b, and
+    e^{At} Sigma0 e^{A^T t} plus eps^2 times Van Loan's P1."""
+    n = len(b)
+    affine = np.zeros((n + 1, n + 1))
+    affine[:n, :n], affine[:n, n] = a, b
+    flow = expm(affine * t)
+    mean = flow[:n, :n] @ mean0 + flow[:n, n]
+    cov = flow[:n, :n] @ sigma0 @ flow[:n, :n].T \
+        + eps ** 2 * van_loan_covariance(a, sigma, t)
+    return mean, cov

@@ -84,6 +84,16 @@ BAD_ARGUMENTS = [
     ("builtin_model",
      lambda v: builtin_model("linear_additive", a_matrix=v, b_vector=[0.0],
                              sigma_matrix=[[1.0]]), "a_matrix", [[nan]]),
+    ("builtin_model",
+     lambda v: builtin_model("linear_additive", a_matrix=v, b_vector=[0.0],
+                             sigma_matrix=[[1.0]]), "a_matrix", [[True]]),
+    ("builtin_model",
+     lambda v: builtin_model("linear_additive", a_matrix=[[1.0]], b_vector=v,
+                             sigma_matrix=[[1.0]]), "b_vector", ["0.5"]),
+    ("builtin_model",
+     lambda v: builtin_model("linear_additive", a_matrix=[[1.0]],
+                             b_vector=[0.0], sigma_matrix=v), "sigma_matrix",
+     np.array([[True]])),
     # np.asarray reads a bool or a numeric string as a float
     ("solve_flow", lambda v: solve_flow(OU, v, 1.0), "x0", [True]),
     ("s2_point", lambda v: s2_point(JET, v, 0.5), "x0", [True, "1.0"]),

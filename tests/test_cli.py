@@ -405,6 +405,11 @@ BAD_INPUTS = [
                         "delta_r": 0.1}, []),
     ("bound", "bound", {"r": 1, "t": 1.0, "epsilon": 0.05, "rho": 0.01,
                         "delta_2r": 0.0}, []),
+    # coefficient matrices go through the array rule: a bool or a numeric
+    # string is no entry
+    ("simulate", "model", {"name": "linear_additive",
+                           "params": {"a_matrix": [[True]], "b_vector": [0.0],
+                                      "sigma_matrix": [[1.0]]}}, []),
 ]
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from linsde import linearise
+from linsde.artifacts import write_record
 from linsde.exceptions import (CovarianceError, IntegrationFailure,
                                SingularGradientError)
 from linsde.flow import solve_flow
@@ -20,7 +20,8 @@ from linsde.models import VectorFieldModel, builtin_model
 from linsde.sampling import SimulationConfig, sample_coupled
 from linsde.sensitivity import GridSpec, s2_field
 
-from conftest import cubic_model, model_and_point
+from conftest import (cubic_model, linear_additive_law, model_and_point,
+                      van_loan_covariance)
 
 ALL_MODELS = [("sine", {}), ("linear_multiplicative", {}),
               ("meandering_jet", {}), ("ornstein_uhlenbeck", {}),
@@ -295,21 +296,6 @@ VAN_LOAN_SIGMA = [[0.5, 0.1, 0.0, 0.2], [0.0, 0.4, 0.3, -0.1],
                   [0.2, -0.3, 0.6, 0.1]]
 
 
-def van_loan_covariance(a, sigma, t):
-    """int_0^t e^{As} S S^T e^{A^T s} ds from one block exponential:
-    expm([[-A, S S^T], [0, A^T]] t) = [[., G], [0, e^{A^T t}]] and the
-    integral is e^{At} G (Van Loan 1978)."""
-    a, sigma = np.asarray(a), np.asarray(sigma)
-    n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a
-    block[:n, n:] = sigma @ sigma.T
-    block[n:, n:] = a.T
-    e = expm(block * t)
-    cov = e[n:, n:].T @ e[:n, n:]
-    return 0.5 * (cov + cov.T)
-
-
 class TestThreeDimensionalOracle:
     T = 1.5
     X0 = [0.3, -0.2, 0.5]
@@ -361,9 +347,8 @@ ORACLE_BOUNDS = {"rk45": 1e-7, "mazzoni": 1e-5}
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 def test_random_linear_additive_law_is_exact(n, m, seed):
     # dy = (A y + b) dt + eps S dW from N(mean0, Sigma0), linearised about
-    # an offset reference point: the linearisation is exact, so the law is
-    # e^{At} mean0 plus the integral of e^{A(t-s)} b, and e^{At} Sigma0
-    # e^{A^T t} plus eps^2 times Van Loan's P1
+    # an offset reference point: the linearisation is exact, so its law is
+    # the SDE's own
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) / math.sqrt(n)
     b, sigma = rng.standard_normal(n), rng.standard_normal((n, m))
@@ -376,12 +361,7 @@ def test_random_linear_additive_law_is_exact(n, m, seed):
                           sigma_matrix=sigma)
     init = InitialCondition.gaussian(mean0, covariance=sigma0,
                                      reference_point=x0)
-    affine = np.zeros((n + 1, n + 1))
-    affine[:n, :n], affine[:n, n] = a, b
-    flow = expm(affine * t)
-    mean = flow[:n, :n] @ mean0 + flow[:n, n]
-    cov = flow[:n, :n] @ sigma0 @ flow[:n, :n].T \
-        + eps ** 2 * van_loan_covariance(a, sigma, t)
+    mean, cov = linear_additive_law(a, b, sigma, mean0, sigma0, eps, t)
     for method, bound in ORACLE_BOUNDS.items():
         law = linearised_distribution(model, init, t, eps, method=method,
                                       dt=1e-3)
@@ -480,7 +460,7 @@ class TestGaussianStateType:
         state = GaussianState(np.array([1.0, -2.0]),
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 1.5, 0.01)
         path = tmp_path / "law.json"
-        state.save(path)
+        write_record(path, state.to_json())
         back = GaussianState.load(path)
         np.testing.assert_array_equal(back.mean, state.mean)
         np.testing.assert_array_equal(back.covariance, state.covariance)

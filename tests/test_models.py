@@ -49,6 +49,18 @@ def test_jet_constant_overflow_is_a_value_error(params):
         builtin_model("meandering_jet", **params)
 
 
+def test_linear_additive_keeps_its_own_matrices():
+    # a caller's later edit of its arrays does not reach the model
+    a, b, s = np.array([[-1.0]]), np.array([0.5]), np.array([[1.0]])
+    model = builtin_model("linear_additive", a_matrix=a, b_vector=b,
+                          sigma_matrix=s)
+    a[:], b[:], s[:] = 7.0, 7.0, 7.0
+    assert model.params == {"a_matrix": [[-1.0]], "b_vector": [0.5],
+                            "sigma_matrix": [[1.0]]}
+    assert model.drift(np.array([1.0]), 0.0)[0] == -0.5
+    assert model.diffusion(np.array([1.0]), 0.0)[0, 0] == 1.0
+
+
 #: every catalog model, with defaults and with non-default parameters
 REBUILD_CASES = [
     ("sine", {}), ("linear_multiplicative", {}), ("meandering_jet", {}),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import linsde
-from linsde import flow, linearise, models
+from linsde import flow, linearise, models, sampling
 from linsde.sampling import SamplePairBatch, SimulationConfig
 
 PUBLIC = [
@@ -23,8 +23,8 @@ PUBLIC = [
     "gaussian_delta_bound", "lemma_constants", "linearised_distribution",
     "moment_constant", "read_batch", "read_field", "read_sweep",
     "rho_curvature_interval", "run_sweep", "s2_empirical_limit", "s2_field",
-    "s2_point", "sample_coupled", "sample_nonlinear", "solve_flow",
-    "strong_error", "theorem_constants", "write_robust_csv",
+    "s2_point", "sample_coupled", "solve_flow", "strong_error",
+    "theorem_constants", "write_robust_csv",
 ]
 
 
@@ -47,10 +47,12 @@ def test_star_import_gives_exactly_the_public_names():
 @pytest.mark.parametrize("module, name", [
     (flow, "integrate_flow"), (flow, "integrate_flow_with_gradient"),
     (flow, "FlowResult"), (models, "eval_model"),
-    (linearise, "propagate_covariance")])
+    (linearise, "propagate_covariance"), (sampling, "sample_nonlinear"),
+    (sampling, "_terminal_samples")])
 def test_deleted_name_is_gone(module, name):
     # the flow has one entry point, solve_flow, the coefficients are the
-    # model's own callables, and the law has one, linearised_distribution
+    # model's own callables, the law has one, linearised_distribution, and
+    # the sampler one stepping loop, sample_cells
     assert not hasattr(module, name)
     assert not hasattr(linsde, name)
 

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import model_and_point
+from conftest import linear_additive_law, model_and_point
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linsde import sampling
 from linsde.artifacts import write_record
@@ -12,7 +14,7 @@ from linsde.flow import solve_flow
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
-                             sample_cells, sample_coupled, sample_nonlinear)
+                             sample_cells, sample_coupled)
 
 
 def cubic_drift_model():
@@ -394,6 +396,11 @@ class TestCoupledSampling:
                 "^c: epsilon"),
                ([Cell(InitialCondition.fixed([0.5]), math.nan, 0, 4, "c")],
                 "^c: epsilon"),
+               *(([Cell(InitialCondition.fixed([0.5]), 0.1, 0, n, "c")],
+                  "^c: n must be a positive integer") for n in (0, -3, 2.0)),
+               *(([Cell(InitialCondition.fixed([0.5]), 0.1, seed, 4, "c")],
+                  "^c: seed must be a non-negative integer")
+                 for seed in (-1, 1.5)),
                ([], "no cells")]
         for cells, message in bad:
             with pytest.raises(ValueError, match=message):
@@ -411,12 +418,64 @@ class TestCoupledSampling:
         with pytest.raises(ValueError, match="^second: .*reference point"):
             sample_cells(sine, cells, 1.0, SimulationConfig(dt=1e-2))
 
-    def test_nonlinear_only_matches_coupled_y(self, mult):
-        init = InitialCondition.gaussian([2.0], rho=0.05)
-        cfg = SimulationConfig(dt=1e-3, n_samples=50, seed=14)
-        batch = sample_coupled(mult, init, 0.05, 1.0, cfg)
-        y_only = sample_nonlinear(mult, init, 0.05, 1.0, cfg)
-        np.testing.assert_array_equal(batch.y_samples, y_only)
+
+def linear_additive_cells(rng, n, m, size):
+    """A random linear-additive model (A scaled normal, stable or not) and
+    two cells at different noise scales, with Gaussian starts of random
+    covariance whose means are offset from the reference point."""
+    model = builtin_model("linear_additive",
+                          a_matrix=rng.standard_normal((n, n)) / math.sqrt(n),
+                          b_vector=rng.standard_normal(n),
+                          sigma_matrix=rng.standard_normal((n, m)))
+    x0 = rng.standard_normal(n)
+    cells = []
+    for seed, eps in enumerate((0.05, 0.3)):
+        root = rng.standard_normal((n, n))
+        init = InitialCondition.gaussian(
+            x0 + 0.1 * rng.standard_normal(n),
+            covariance=0.01 * root @ root.T / n, reference_point=x0)
+        cells.append(Cell(init, eps, seed, size))
+    return model, cells
+
+
+#: bound on max |y - l| relative to max |y|; over the examples below the
+#: worst is 1.3e-15
+PATH_BOUND = 1e-12
+
+
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_random_linear_additive_paths_coincide(n, m, seed):
+    # the linearisation of an affine drift with additive noise is exact, so
+    # the two schemes take the same steps and differ by rounding only
+    rng = np.random.default_rng(seed)
+    model, cells = linear_additive_cells(rng, n, m, 64)
+    t = rng.uniform(0.2, 2.0)
+    for batch in sample_cells(model, cells, t, SimulationConfig(dt=1e-2)):
+        y, l = batch.y_samples, batch.l_samples
+        assert batch.n_flagged == 0
+        assert np.max(np.abs(y - l)) <= PATH_BOUND * np.max(np.abs(y))
+
+
+def test_random_linear_additive_sampled_law():
+    # each cell's l follows the law of the Euler scheme, within O(dt) of the
+    # exact law: every mean and covariance entry is within 5 standard errors
+    # of it (at most 2.5 and 3.7 here). The covariance is nearly rank one for
+    # eps = 0.3, so a relative norm bound of 5/sqrt(N) would be only 3.5
+    # standard errors of its top variance.
+    size, t = 4000, 1.0
+    model, cells = linear_additive_cells(np.random.default_rng(5), 3, 2, size)
+    a, b, sigma = (np.array(model.params[key]) for key in
+                   ("a_matrix", "b_vector", "sigma_matrix"))
+    batches = sample_cells(model, cells, t, SimulationConfig(dt=2e-3))
+    for cell, batch in zip(cells, batches):
+        mean, cov = linear_additive_law(a, b, sigma, cell.init.mean,
+                                        cell.init.covariance, cell.epsilon, t)
+        l, var = batch.l_samples, np.diag(cov)
+        assert np.all(np.abs(l.mean(axis=0) - mean)
+                      <= 5.0 * np.sqrt(var / size))
+        assert np.all(np.abs(np.cov(l, rowvar=False) - cov)
+                      <= 5.0 * np.sqrt((np.outer(var, var) + cov ** 2) / size))
 
 
 class TestBatchSerialisation:

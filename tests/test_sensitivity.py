@@ -6,6 +6,7 @@ import pytest
 
 from linsde import linearise, sensitivity
 from linsde.artifacts import write_record
+from linsde.exceptions import IntegrationFailure
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.sampling import SimulationConfig
 from linsde.sensitivity import (GridSpec, S2Field, check_field,
@@ -252,9 +253,16 @@ class TestEmpiricalLimit:
     def test_every_scale_checked_before_sampling(self, monkeypatch, ou,
                                                  epsilons):
         # a bad second scale was found only after sampling the first
-        monkeypatch.setattr(sensitivity, "sample_nonlinear", None)
+        monkeypatch.setattr(sensitivity, "sample_coupled", None)
         with pytest.raises(ValueError, match="epsilons"):
             s2_empirical_limit(ou, [1.0], 1.0, epsilons,
+                               SimulationConfig(n_samples=10))
+
+    def test_failed_reference_flow_is_an_integration_failure(self, sine):
+        # the samples come from the coupled sampler, which solves the
+        # reference flow first; dy/dt = y^3 from 2 blows up at t = 1/8
+        with pytest.raises(IntegrationFailure, match="cubic"):
+            s2_empirical_limit(cubic_model(sine), [2.0], 1.0, [0.1],
                                SimulationConfig(n_samples=10))
 
 
