@@ -15,7 +15,7 @@ from .exceptions import (BatchError, ConfigError, CovarianceError, FieldError,
                          IntegrationFailure, LinSDEError,
                          NumericalDomainError, SingularGradientError,
                          UnknownModelError)
-from .flow import FlowPath, solve_flow
+from .flow import solve_flow
 from .linearise import (GaussianState, InitialCondition,
                         covariance_by_quadrature, linearised_distribution)
 from .models import (MODEL_NAMES, MeanderingJetParams, VectorFieldModel,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASES", "BatchError", "BoundBreakdown", "BoundConstants", "ConfigError",
-    "CovarianceError", "FieldError", "FlowPath",
+    "CovarianceError", "FieldError",
     "GaussianState", "GridSpec", "InitialCondition", "IntegrationFailure",
     "LinSDEError", "MODEL_NAMES", "MeanderingJetParams",
     "NumericalDomainError", "RobustSet", "S2Field", "SamplePairBatch",

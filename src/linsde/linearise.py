@@ -11,9 +11,10 @@ with J and S the drift gradient and diffusion evaluated along the reference
 trajectory. Its solution splits as Pi(t) = DF Var(x) DF^T + eps^2 P1(t),
 with P1 the unit-noise covariance (eps = 1, P1(0) = 0); the integrators
 compute only P1 and, when needed, DF. P1 is also available in quadrature
-form as DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau), which
-provides an independent discretisation used for cross-checking; the ODE
-route never needs the gradient inverse and is the production path.
+form as DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau) at the
+Gauss nodes of one flow solve, an independent discretisation used for
+cross-checking; the ODE route never needs the gradient inverse and is the
+production path.
 """
 
 from __future__ import annotations
@@ -333,7 +334,6 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     if t == 0.0:
         return np.zeros((n, n))
 
-    path = solve_flow(model, x0, t, tol=tol, with_gradient=True)
     nodes, weights = np.polynomial.legendre.leggauss(5)
     edges = np.linspace(0.0, t, n_sub + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -341,8 +341,8 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     times = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
 
-    states = path.state(times)
-    grads = path.gradient(times)
+    states, grads = solve_flow(model, x0, np.append(times, t), tol=tol)
+    states, grads, grad_t = states[:-1], grads[:-1], grads[-1]
     conds = np.linalg.cond(grads)
     if np.any(conds > COND_LIMIT):
         bad = times[int(np.argmax(conds > COND_LIMIT))]
@@ -352,6 +352,5 @@ def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = N
     sig = model.diffusion(states, times)
     loc = np.linalg.solve(grads, sig)
     integral = np.einsum("k,kij,klj->il", w, loc, loc)
-    grad_t = path.gradient(t)
     cov = grad_t @ integral @ grad_t.T
     return 0.5 * (cov + cov.T)

@@ -14,6 +14,7 @@ and Brownian motion as its named cases.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -38,8 +39,9 @@ class VectorFieldModel:
     nothing else. :meth:`coefficients` evaluates all three at one point,
     through a fused evaluation that shares work between them where the
     catalog provides one (the meandering jet), else through the three
-    callables. The fused evaluation is not a constructor argument, so a
-    model rebuilt by ``dataclasses.replace`` always takes the callables.
+    callables. Neither the fused evaluation nor the recipe that
+    :func:`builtin_model` stamps is a constructor argument, so a model
+    rebuilt by ``dataclasses.replace`` takes the callables and has no recipe.
     ``diffusion_gradient`` (shape (..., n, m, n), derivative axis last) is
     optional and only required by the 1-D Milstein scheme.
     ``analytic_flow`` / ``analytic_flow_gradient``, when present, give the
@@ -62,6 +64,8 @@ class VectorFieldModel:
     params: dict = field(default_factory=dict)
     _fused: Optional[Callable] = field(default=None, init=False, repr=False,
                                        compare=False)
+    _recipe: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def coefficients(self, x, t):
         """(drift, drift gradient, diffusion) at states x and times t."""
@@ -365,4 +369,6 @@ def builtin_model(name: str, **params) -> VectorFieldModel:
     except KeyError:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}") from None
-    return factory(**params)
+    model = factory(**params)
+    object.__setattr__(model, "_recipe", (name, copy.deepcopy(params)))
+    return model

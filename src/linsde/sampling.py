@@ -314,7 +314,7 @@ def sample_cells(model, cells, t: float,
     # (P_S = I) its terminal state is
     # l_S = ref_S + P_0 d_0 + sum_k P_{k+1} r_k + eps sum_k P_{k+1} sig_k dW_k
     # the reference (S+1, n) and its coefficients (S, n), (S, n, n), (S, n, m)
-    ref = solve_flow(model, ref_point, t, with_gradient=False).state(tgrid)
+    ref = solve_flow(model, ref_point, tgrid, with_gradient=False)[0]
     u_ref, jac_ref, sig_ref = model.coefficients(ref[:-1], tgrid[:-1])
     prop = np.empty((steps + 1, n, n))
     prop[steps] = np.eye(n)

@@ -30,7 +30,7 @@ from .exceptions import FieldError
 from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
                         linearised_distribution)
-from .models import builtin_model, MODEL_NAMES
+from .models import builtin_model
 from .sampling import SimulationConfig, sample_coupled
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
@@ -123,9 +123,9 @@ class S2Field:
 def read_field(csv_path, json_path) -> S2Field:
     with open(json_path) as fh:
         meta = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    values = np.genfromtxt(csv_path, delimiter=",", names=True)["s2"]
     grid = GridSpec(tuple(tuple(ax) for ax in meta["grid"]))
-    return S2Field(grid, data[:, -1], meta["t"], meta["model"],
+    return S2Field(grid, np.atleast_1d(values), meta["t"], meta["model"],
                    meta.get("params", {}), meta.get("n_missing", 0))
 
 
@@ -174,9 +174,10 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     ``method``: "rk45" adaptive to ``tol``, "mazzoni" fixed steps of ``dt``.
     Nodes are partitioned into fixed-size chunks (CHUNK_NODES per method)
     computed serially or on a process pool; the partition does not depend
-    on ``workers``, so fields are identical for any worker count. A node
-    with a non-finite result is recorded as missing; more than 0.1 percent
-    missing raises FieldError.
+    on ``workers``, so fields are identical for any worker count. A model
+    that :func:`builtin_model` did not make runs serially, with a warning.
+    A node with a non-finite result is recorded as missing; more than 0.1
+    percent missing raises FieldError.
     """
     check_field(model, grid, workers, tol, method, dt)
     _checks.at_least(t, "t")
@@ -184,10 +185,9 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     chunk = CHUNK_NODES[method]
     blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]
 
-    spec = (model.name, model.params) if model.name in MODEL_NAMES else None
-    if workers > 1 and spec is None:
-        warnings.warn(f"model {model.name!r} is not in the catalog and "
-                      "cannot be shipped to worker processes; running "
+    if workers > 1 and model._recipe is None:
+        warnings.warn(f"model {model.name!r} was not built by builtin_model "
+                      "and cannot be shipped to worker processes; running "
                       "serially", RuntimeWarning)
         workers = 1
 
@@ -195,7 +195,8 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
         results = [_field_chunk(model, blk, t, method, tol, dt)
                    for blk in blocks]
     else:
-        payloads = [(*spec, blk, t, method, tol, dt) for blk in blocks]
+        payloads = [(*model._recipe, blk, t, method, tol, dt)
+                    for blk in blocks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_chunk, payloads))
     values = np.concatenate(results) if results else np.empty(0)

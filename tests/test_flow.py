@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from linsde import flow
 from linsde.exceptions import IntegrationFailure
-from linsde.flow import solve_flow
+from linsde.flow import _flow_rate, solve_flow
 from linsde.models import VectorFieldModel, builtin_model
 
 from conftest import model_and_point
@@ -17,11 +18,11 @@ ALL_MODELS = [("sine", {}), ("linear_multiplicative", {}),
 
 def flow_state(model, x0, t, **kwargs):
     # a state-only solve, read at its end
-    return solve_flow(model, x0, t, with_gradient=False, **kwargs).state(t)
+    return solve_flow(model, x0, t, with_gradient=False, **kwargs)[0]
 
 
 def flow_gradient(model, x0, t):
-    return solve_flow(model, x0, t).gradient(t)
+    return solve_flow(model, x0, t)[1]
 
 
 def sine_closed_form(x0, t):
@@ -42,10 +43,17 @@ def test_mult_flow_matches_closed_form(mult):
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_flow_identity_at_t0(name, params):
     model, x0 = model_and_point(name, **params)
+    n = model.dim_state
     np.testing.assert_array_equal(flow_state(model, x0, 0.0), x0)
-    path = solve_flow(model, x0, 0.0)
-    np.testing.assert_array_equal(path.state(0.0), x0)
-    np.testing.assert_array_equal(path.gradient(0.0), np.eye(model.dim_state))
+    for times in (0.0, [0.0], np.zeros((2, 3))):
+        shape = np.shape(times)
+        states, grads = solve_flow(model, x0, times)
+        assert states.shape == shape + (n,) and grads.shape == shape + (n, n)
+        np.testing.assert_array_equal(states,
+                                      np.broadcast_to(x0, states.shape))
+        np.testing.assert_array_equal(grads,
+                                      np.broadcast_to(np.eye(n), grads.shape))
+        assert solve_flow(model, x0, times, with_gradient=False)[1] is None
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
@@ -125,13 +133,37 @@ def test_semigroup_property(name):
 
 
 def test_dense_path_consistent_with_endpoints(jet):
-    path = solve_flow(jet, [0.3, 1.1], 1.0)
     times = np.linspace(0.0, 1.0, 9)
-    states = path.state(times)
+    states, grads = solve_flow(jet, [0.3, 1.1], times)
     np.testing.assert_allclose(states[0], [0.3, 1.1], atol=1e-12)
     np.testing.assert_allclose(states[-1], flow_state(jet, [0.3, 1.1], 1.0),
                                atol=1e-8)
-    np.testing.assert_allclose(path.gradient(0.0), np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(grads[0], np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("with_gradient", [False, True])
+def test_flow_is_the_dense_solve_read_at_the_times(jet, with_gradient):
+    # one RK45 solve to the last time, read by its own dense output
+    x0 = np.array([0.3, 1.1])
+    tgrid = np.linspace(0.0, 1.5, 301)
+    z0 = np.concatenate([x0, np.eye(2).ravel()]) if with_gradient else x0
+    sol = solve_ivp(_flow_rate(jet, with_gradient), (0.0, 1.5), z0,
+                    method="RK45", rtol=1e-8, atol=1e-10, dense_output=True)
+    want = sol.sol(tgrid).T
+    states, grads = solve_flow(jet, x0, tgrid, with_gradient=with_gradient)
+    np.testing.assert_array_equal(states, want[:, :2])
+    if with_gradient:
+        np.testing.assert_array_equal(grads, want[:, 2:].reshape(-1, 2, 2))
+    else:
+        assert grads is None
+    # a scalar time and an unsorted grid of any shape read the same solve
+    np.testing.assert_array_equal(
+        solve_flow(jet, x0, 1.5, with_gradient=with_gradient)[0],
+        sol.sol(1.5)[:2])
+    shuffled = tgrid[::-1].reshape(7, 43)
+    np.testing.assert_array_equal(
+        solve_flow(jet, x0, shuffled, with_gradient=with_gradient)[0],
+        sol.sol(shuffled.ravel()).T[:, :2].reshape(7, 43, 2))
 
 
 def test_integration_failure_reports_last_time(sine):
@@ -150,6 +182,14 @@ def test_integration_failure_reports_last_time(sine):
 def test_backward_time_rejected(sine):
     with pytest.raises(ValueError):
         flow_state(sine, [0.5], -1.0)
+
+
+@pytest.mark.parametrize("times", [[0.5, -1e-3], [[1.0], [-2.0]],
+                                   [0.5, math.nan], [True], ["1.0"]])
+def test_bad_time_grid_rejected_before_solve(monkeypatch, sine, times):
+    monkeypatch.setattr(flow, "solve_ivp", None)
+    with pytest.raises(ValueError, match="times"):
+        solve_flow(sine, [0.5], times)
 
 
 @pytest.mark.parametrize("t, tol", [(math.nan, 1e-8), (math.inf, 1e-8),

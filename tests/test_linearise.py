@@ -78,7 +78,7 @@ class TestPropagateCovariance:
         x0 = [0.3, 1.1]
         got = fixed_law(jet, x0, 1.0, epsilon=0.05)
         np.testing.assert_allclose(got.mean,
-                                   solve_flow(jet, x0, 1.0).state(1.0),
+                                   solve_flow(jet, x0, 1.0)[0],
                                    atol=1e-7)
 
     def test_t0_returns_initial(self, sine):
@@ -372,6 +372,31 @@ def test_random_linear_additive_law_is_exact(n, m, seed):
         assert np.linalg.eigvalsh(law.covariance)[0] \
             >= -1e-12 * np.linalg.norm(law.covariance)
 
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_random_linear_additive_field_is_exact(n, m, seed):
+    # an affine drift's P1 does not depend on the node, so every field
+    # value is the top eigenvalue of the Van Loan P1 (worst relative errors
+    # 1.9e-9 for rk45 and 9.1e-7 for mazzoni over these examples); each is
+    # also the value of its node's own _propagate call, bitwise
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    b, sigma = rng.standard_normal(n), rng.standard_normal((n, m))
+    t = rng.uniform(0.2, 2.0)
+    model = builtin_model("linear_additive", a_matrix=a, b_vector=b,
+                          sigma_matrix=sigma)
+    grid = GridSpec(tuple((x, x + 1.0, 2) for x in rng.standard_normal(n)))
+    top = np.linalg.eigvalsh(van_loan_covariance(a, sigma, t))[-1]
+    for method, bound in ORACLE_BOUNDS.items():
+        field = s2_field(model, grid, t, tol=1e-8, method=method, dt=1e-3)
+        for x0, value in zip(grid.points(), field.values):
+            cov = linearise._propagate(model, x0, t, method, 1e-8, 1e-3,
+                                       False)[2]
+            assert value == np.linalg.eigvalsh(cov)[-1]
+        assert field.n_missing == 0
+        assert np.max(np.abs(field.values - top)) <= bound * top
+
 class TestQuadratureForm:
     def test_t0_zero_matrix(self, jet):
         np.testing.assert_array_equal(
@@ -409,7 +434,7 @@ class TestLinearisedDistribution:
         init = InitialCondition.fixed([0.5])
         law = linearised_distribution(sine, init, t, eps)
         np.testing.assert_allclose(law.mean,
-                                   solve_flow(sine, [0.5], t).state(t),
+                                   solve_flow(sine, [0.5], t)[0],
                                    atol=1e-7)
         unit = covariance_by_quadrature(sine, [0.5], t)
         np.testing.assert_allclose(law.covariance, eps ** 2 * unit,
@@ -420,7 +445,7 @@ class TestLinearisedDistribution:
         mu, rho, eps, t = 0.5, 0.1, 0.01, 1.5
         law = linearised_distribution(
             sine, InitialCondition.gaussian([mu], rho=rho), t, eps)
-        grad = solve_flow(sine, [mu], t).gradient(t)[0, 0]
+        grad = solve_flow(sine, [mu], t)[1][0, 0]
         unit = covariance_by_quadrature(sine, [mu], t)[0, 0]
         expected = rho ** 2 * grad ** 2 + eps ** 2 * unit
         assert law.covariance[0, 0] == pytest.approx(expected, rel=1e-6)
@@ -432,7 +457,7 @@ class TestLinearisedDistribution:
         eps, t = 0.05, 1.0
         law = linearised_distribution(
             jet, InitialCondition.gaussian(x0, covariance=s0), t, eps)
-        grad = solve_flow(jet, x0, t).gradient(t)
+        grad = solve_flow(jet, x0, t)[1]
         unit = covariance_by_quadrature(jet, x0, t)
         expected = grad @ s0 @ grad.T + eps ** 2 * unit
         assert np.linalg.norm(law.covariance - expected) \

@@ -80,8 +80,10 @@ COEFFICIENTS = ("drift", "drift_gradient", "diffusion", "diffusion_gradient",
 
 @pytest.mark.parametrize("name,params", REBUILD_CASES)
 def test_model_rebuilds_from_name_and_params(name, params):
-    # field worker processes rebuild the model from (name, params)
+    # field worker processes rebuild the model from its (name, params)
+    # recipe; the params it records rebuild it too
     model = builtin_model(name, **params)
+    assert model._recipe == (name, params)
     again = builtin_model(model.name, **model.params)
     assert (again.name, again.params, again.domain, again.constants,
             again.dim_state, again.dim_noise) == (
@@ -336,6 +338,23 @@ def test_replaced_coefficient_drops_the_fused_evaluation(jet):
     assert np.array_equal(sig, diffusion(x, t))
     assert np.array_equal(drift, jet.drift(x, t))
     assert np.array_equal(grad, jet.drift_gradient(x, t))
+
+
+def test_only_a_catalog_build_carries_its_recipe():
+    # the recipe is a copy of builtin_model's arguments; a model rebuilt by
+    # dataclasses.replace, or built directly, has none
+    a = [[-1.0]]
+    model = builtin_model("linear_additive", a_matrix=a, b_vector=[0.0],
+                          sigma_matrix=[[1.0]])
+    a[0][0] = 7.0
+    assert model._recipe == ("linear_additive", {
+        "a_matrix": [[-1.0]], "b_vector": [0.0], "sigma_matrix": [[1.0]]})
+    assert dataclasses.replace(model)._recipe is None
+    user = VectorFieldModel(
+        name=model.name, dim_state=1, dim_noise=1, drift=model.drift,
+        drift_gradient=model.drift_gradient, diffusion=model.diffusion,
+        constants=model.constants, params=model.params)
+    assert user._recipe is None
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -12,7 +12,7 @@ from linsde.sampling import SamplePairBatch, SimulationConfig
 
 PUBLIC = [
     "BASES", "BatchError", "BoundBreakdown", "BoundConstants", "ConfigError",
-    "CovarianceError", "FieldError", "FlowPath", "GaussianState", "GridSpec",
+    "CovarianceError", "FieldError", "GaussianState", "GridSpec",
     "InitialCondition", "IntegrationFailure", "LinSDEError", "MODEL_NAMES",
     "MeanderingJetParams", "NumericalDomainError", "RobustSet", "S2Field",
     "SamplePairBatch", "ScalingFit", "SimulationConfig",
@@ -46,13 +46,14 @@ def test_star_import_gives_exactly_the_public_names():
 
 @pytest.mark.parametrize("module, name", [
     (flow, "integrate_flow"), (flow, "integrate_flow_with_gradient"),
-    (flow, "FlowResult"), (models, "eval_model"),
+    (flow, "FlowResult"), (flow, "FlowPath"), (models, "eval_model"),
     (linearise, "propagate_covariance"), (sampling, "sample_nonlinear"),
     (sampling, "_terminal_samples")])
 def test_deleted_name_is_gone(module, name):
-    # the flow has one entry point, solve_flow, the coefficients are the
-    # model's own callables, the law has one, linearised_distribution, and
-    # the sampler one stepping loop, sample_cells
+    # the flow has one entry point, solve_flow, which returns F and DF at
+    # the caller's times, the coefficients are the model's own callables,
+    # the law has one, linearised_distribution, and the sampler one
+    # stepping loop, sample_cells
     assert not hasattr(module, name)
     assert not hasattr(linsde, name)
 

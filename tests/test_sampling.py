@@ -124,8 +124,8 @@ def stepped_linearisation(model, init, eps, t, cfg):
     steps = cfg.steps_for(t)
     h = t / steps
     tgrid = np.linspace(0.0, t, steps + 1)
-    ref = solve_flow(model, init.reference_point, t, tol=1e-8,
-                     with_gradient=False).state(tgrid)
+    ref = solve_flow(model, init.reference_point, tgrid, tol=1e-8,
+                     with_gradient=False)[0]
     u_ref = model.drift(ref[:-1], tgrid[:-1])
     jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])
     sig_ref = model.diffusion(ref[:-1], tgrid[:-1])
@@ -153,8 +153,8 @@ def batched_product_pairs(model, init, eps, t, cfg):
     steps = cfg.steps_for(t)
     h = t / steps
     tgrid = np.linspace(0.0, t, steps + 1)
-    ref = solve_flow(model, init.reference_point, t, tol=1e-8,
-                     with_gradient=False).state(tgrid)
+    ref = solve_flow(model, init.reference_point, tgrid, tol=1e-8,
+                     with_gradient=False)[0]
     u_ref = model.drift(ref[:-1], tgrid[:-1])
     jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])
     sig_ref = model.diffusion(ref[:-1], tgrid[:-1])
@@ -285,7 +285,7 @@ class TestCoupledSampling:
         cfg = SimulationConfig(dt=1e-3, n_samples=4, seed=6)
         batch = sample_coupled(sine, InitialCondition.fixed([0.5]), 0.0,
                                1.5, cfg)
-        target = solve_flow(sine, [0.5], 1.5).state(1.5)
+        target = solve_flow(sine, [0.5], 1.5)[0]
         assert np.abs(batch.y_samples - target).max() <= 10 * cfg.dt
         assert np.abs(batch.l_samples - target).max() <= 10 * cfg.dt
         assert np.abs(batch.y_samples - batch.l_samples).max() <= 10 * cfg.dt

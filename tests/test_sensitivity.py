@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -8,6 +9,7 @@ from linsde import linearise, sensitivity
 from linsde.artifacts import write_record
 from linsde.exceptions import IntegrationFailure
 from linsde.linearise import InitialCondition, linearised_distribution
+from linsde.models import VectorFieldModel
 from linsde.sampling import SimulationConfig
 from linsde.sensitivity import (GridSpec, S2Field, check_field,
                                 extract_robust_set, read_field,
@@ -123,6 +125,29 @@ class TestS2Field:
         fast2 = s2_field(jet, grid, 0.5, method="mazzoni", workers=2)
         np.testing.assert_array_equal(fast1.values, fast2.values)
 
+    @pytest.mark.parametrize("rebuild", ["replace", "user"])
+    def test_changed_catalog_model_runs_serially(self, ou, rebuild):
+        # OU with its drift -y replaced by -3y keeps the catalog name and
+        # params, but workers would rebuild the stock model:
+        # (1 - e^{-2}) / 2 instead of (1 - e^{-6}) / 6
+        coefficients = dict(
+            drift=lambda x, t: -3.0 * np.asarray(x, dtype=float),
+            drift_gradient=lambda x, t: np.full(np.shape(x) + (1,), -3.0))
+        if rebuild == "replace":
+            faster = dataclasses.replace(ou, **coefficients)
+        else:
+            faster = VectorFieldModel(
+                name=ou.name, dim_state=1, dim_noise=1,
+                diffusion=ou.diffusion, constants=ou.constants,
+                params=ou.params, **coefficients)
+        grid = GridSpec(((-1.0, 1.0, 3),))
+        serial = s2_field(faster, grid, 1.0)
+        with pytest.warns(RuntimeWarning, match="serially"):
+            twice = s2_field(faster, grid, 1.0, workers=2)
+        np.testing.assert_array_equal(twice.values, serial.values)
+        np.testing.assert_allclose(serial.values, (1.0 - math.exp(-6.0)) / 6.0,
+                                   rtol=1e-5)
+
     def test_fast_path_close_to_adaptive(self, jet):
         grid = GridSpec(((0.0, 3.0, 5), (0.0, 3.0, 4)))
         slow = s2_field(jet, grid, 1.0, tol=1e-8)
@@ -219,6 +244,21 @@ class TestS2Field:
         np.testing.assert_array_equal(back.values, field.values)
         assert back.grid == field.grid
         assert back.t == field.t and back.model_name == field.model_name
+
+    @pytest.mark.parametrize("axes", [((0.0, 2.0, 3), (0.5, 1.5, 2)),
+                                      ((0.3, 0.3, 1), (1.1, 1.1, 1))])
+    def test_field_and_robust_csv_read_back(self, tmp_path, jet, axes):
+        # the s2 column is read by its name, not as the last column, which
+        # in robust.csv is the 0/1 mask
+        field = s2_field(jet, GridSpec(axes), 0.5, method="mazzoni")
+        robust = extract_robust_set(field, float(np.median(field.values)))
+        meta = tmp_path / "f.json"
+        write_record(meta, field.header())
+        field.write_csv(tmp_path / "field.csv")
+        write_robust_csv(field, robust, tmp_path / "robust.csv")
+        for name in ("field.csv", "robust.csv"):
+            back = read_field(tmp_path / name, meta)
+            np.testing.assert_array_equal(back.values, field.values)
 
 
 class TestEmpiricalLimit:
