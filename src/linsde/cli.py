@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -338,7 +339,10 @@ def _run_s2_field(run: _Run, with_robust: bool) -> None:
         with _rejected("threshold"):
             threshold = _checks.at_least(
                 _get(cfg, "threshold", (int, float)), "threshold")
-    field = s2_field(model, grid, t, **options)
+    # the config names a catalog model, and it labels the field also when
+    # the model that ran is a wrapped copy without the catalog recipe
+    field = replace(s2_field(model, grid, t, **options),
+                    model_name=model.name, params=dict(model.params))
     if with_robust:
         robust = extract_robust_set(field, float(threshold))
         write_robust_csv(field, robust, run.path("robust.csv"))

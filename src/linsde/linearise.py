@@ -19,7 +19,6 @@ production path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import _checks
+from .artifacts import read_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
 from .flow import DEFAULT_TOL, _flow_rate, _variational_rate, solve_flow
@@ -90,8 +90,7 @@ class GaussianState:
 
     @classmethod
     def load(cls, path) -> "GaussianState":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_record(path))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _checks
 from .bounds import BoundConstants
@@ -44,10 +43,12 @@ class VectorFieldModel:
     rebuilt by ``dataclasses.replace`` takes the callables and has no recipe.
     ``diffusion_gradient`` (shape (..., n, m, n), derivative axis last) is
     optional and only required by the 1-D Milstein scheme.
-    ``analytic_flow`` / ``analytic_flow_gradient``, when present, give the
-    closed-form deterministic flow map and its spatial gradient and must
-    reduce to the identity at t = 0. ``domain`` is the documented
-    axis-aligned box used for numerical constant estimation.
+    ``domain`` is the documented axis-aligned box used for numerical
+    constant estimation. A catalog model's ``params`` hold its full
+    parameter set and its recipe only the parameters that were passed; a
+    field's header names the model by ``name`` and ``params`` only when it
+    has a recipe. The model carries no closed-form flow: the tests hold
+    those oracles.
     """
 
     name: str
@@ -58,8 +59,6 @@ class VectorFieldModel:
     diffusion: Callable
     constants: BoundConstants
     diffusion_gradient: Optional[Callable] = None
-    analytic_flow: Optional[Callable] = None
-    analytic_flow_gradient: Optional[Callable] = None
     domain: Optional[tuple] = None
     params: dict = field(default_factory=dict)
     _fused: Optional[Callable] = field(default=None, init=False, repr=False,
@@ -97,7 +96,7 @@ class MeanderingJetParams:
 
 
 def _sine_model() -> VectorFieldModel:
-    # dy = sin(y) dt + eps dW, closed-form flow 2*atan(e^t tan(x/2)) on (-pi, pi)
+    # dy = sin(y) dt + eps dW
     def drift(x, t):
         return np.sin(x)
 
@@ -111,28 +110,17 @@ def _sine_model() -> VectorFieldModel:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (1, 1))
 
-    def analytic_flow(x, t):
-        return 2.0 * np.arctan(np.exp(t) * np.tan(0.5 * np.asarray(x, dtype=float)))
-
-    def analytic_flow_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        et = np.exp(t)
-        tn = np.tan(0.5 * x)
-        return (et * (1.0 + tn ** 2) / (1.0 + (et * tn) ** 2))[..., None]
-
     constants = BoundConstants(k_grad_u=1.0, k_hess_u=1.0, k_grad_sigma=0.0,
                                k_sigma=1.0, n=1)
     return VectorFieldModel(
         name="sine", dim_state=1, dim_noise=1, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
         diffusion_gradient=diffusion_gradient, constants=constants,
-        analytic_flow=analytic_flow,
-        analytic_flow_gradient=analytic_flow_gradient,
         domain=((-math.pi,), (math.pi,)))
 
 
 def _linear_multiplicative_model() -> VectorFieldModel:
-    # dy = y/2 dt + eps cos(y) dW, flow e^{t/2} x
+    # dy = y/2 dt + eps cos(y) dW
     def drift(x, t):
         return 0.5 * np.asarray(x, dtype=float)
 
@@ -146,21 +134,12 @@ def _linear_multiplicative_model() -> VectorFieldModel:
     def diffusion_gradient(x, t):
         return -np.sin(x)[..., None, None]
 
-    def analytic_flow(x, t):
-        return np.exp(0.5 * t) * np.asarray(x, dtype=float)
-
-    def analytic_flow_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.exp(0.5 * t), x.shape)[..., None].copy()
-
     constants = BoundConstants(k_grad_u=0.5, k_hess_u=0.0, k_grad_sigma=1.0,
                                k_sigma=1.0, n=1)
     return VectorFieldModel(
         name="linear_multiplicative", dim_state=1, dim_noise=1, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
         diffusion_gradient=diffusion_gradient, constants=constants,
-        analytic_flow=analytic_flow,
-        analytic_flow_gradient=analytic_flow_gradient,
         domain=((-math.pi,), (math.pi,)))
 
 
@@ -287,9 +266,6 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
             or S.shape[0] != n or S.shape[1] < 1:
         raise ValueError("inconsistent linear-additive coefficient shapes")
     m = S.shape[1]
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = A
-    aug[:n, n] = b
 
     def drift(x, t):
         return np.asarray(x, dtype=float) @ A.T + b
@@ -306,16 +282,6 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (n, m, n))
 
-    def analytic_flow(x, t):
-        # exact affine flow via the augmented matrix exponential
-        phi = expm(aug * t)
-        return np.asarray(x, dtype=float) @ phi[:n, :n].T + phi[:n, n]
-
-    def analytic_flow_gradient(x, t):
-        x = np.asarray(x, dtype=float)
-        phi = expm(A * t)
-        return np.broadcast_to(phi, x.shape[:-1] + (n, n)).copy()
-
     constants = BoundConstants(
         k_grad_u=float(np.linalg.norm(A, 2)), k_hess_u=0.0, k_grad_sigma=0.0,
         k_sigma=float(np.linalg.norm(S, 2)), n=n)
@@ -323,8 +289,6 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
         name="linear_additive", dim_state=n, dim_noise=m, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
         diffusion_gradient=diffusion_gradient, constants=constants,
-        analytic_flow=analytic_flow,
-        analytic_flow_gradient=analytic_flow_gradient,
         domain=((-2.0,) * n, (2.0,) * n),
         params={"a_matrix": A.tolist(), "b_vector": b.tolist(),
                 "sigma_matrix": S.tolist()})

@@ -32,7 +32,6 @@ nonlinear samples alone reads a batch's ``y_samples``.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _checks
-from .artifacts import write_table
+from .artifacts import read_record, read_table, write_table
 from .exceptions import BatchError
 from .flow import solve_flow
 from .linearise import InitialCondition
@@ -124,14 +123,13 @@ class SamplePairBatch:
 
 def read_batch(csv_path, sidecar_path) -> SamplePairBatch:
     """Round-trip reader for the batch CSV plus its JSON sidecar."""
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    n = data.shape[1] // 2
+    meta, table = read_record(sidecar_path), read_table(csv_path)
+    n = len(table) // 2
+    y, l = (np.array([table[f"{v}{i + 1}"] for i in range(n)], dtype=float).T
+            for v in "yl")
     cfg = SimulationConfig(**meta["config"])
-    return SamplePairBatch(data[:, :n], data[:, n:], meta["epsilon"],
-                           meta["rho"], cfg, meta["t"], meta["n_flagged"],
-                           meta["model"])
+    return SamplePairBatch(y, l, meta["epsilon"], meta["rho"], cfg, meta["t"],
+                           meta["n_flagged"], meta["model"])
 
 
 class _Key(np.random.bit_generator.ISeedSequence):

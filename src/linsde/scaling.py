@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _checks
-from .artifacts import write_table
+from .artifacts import read_table, write_table
 from .linearise import InitialCondition
 from .sampling import Cell, SamplePairBatch, SimulationConfig, sample_cells
 
@@ -99,18 +99,11 @@ class SweepResult:
 
 def read_sweep(path) -> SweepResult:
     """Round-trip reader for the sweep CSV schema."""
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()[1:]
-    rows = [line.split(",") for line in lines]
-    cols = list(zip(*rows))
-    # the seed column is parsed as an integer: 64-bit seeds do not
-    # survive a float round trip
-    return SweepResult(np.array([float(v) for v in cols[0]]),
-                       np.array([float(v) for v in cols[1]]),
-                       np.array([float(v) for v in cols[3]]),
-                       np.array([float(v) for v in cols[4]]),
-                       np.array([int(v) for v in cols[6]], dtype=np.uint64),
-                       float(rows[0][2]), int(rows[0][5]))
+    table = read_table(path)
+    return SweepResult(*(np.array(table[k], dtype=float)
+                         for k in ("epsilon", "rho", "estimate", "stderr")),
+                       np.array(table["seed"], dtype=np.uint64),
+                       float(table["r"][0]), int(table["n"][0]))
 
 
 def _cell_seed(master: int, i_eps: int, j_rho: int) -> int:

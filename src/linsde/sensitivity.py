@@ -16,7 +16,6 @@ fixed steps), and a node whose result is non-finite goes missing.
 
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _checks
-from .artifacts import write_table
+from .artifacts import read_record, read_table, write_table
 from .exceptions import FieldError
 from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
@@ -121,12 +120,11 @@ class S2Field:
 
 
 def read_field(csv_path, json_path) -> S2Field:
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    values = np.genfromtxt(csv_path, delimiter=",", names=True)["s2"]
-    grid = GridSpec(tuple(tuple(ax) for ax in meta["grid"]))
-    return S2Field(grid, np.atleast_1d(values), meta["t"], meta["model"],
-                   meta.get("params", {}), meta.get("n_missing", 0))
+    """Round-trip reader for a field or robust-set CSV plus its header."""
+    meta = read_record(json_path)
+    grid = GridSpec(tuple(map(tuple, meta["grid"])))
+    return S2Field(grid, np.array(read_table(csv_path)["s2"], dtype=float),
+                   meta["t"], meta["model"], meta["params"], meta["n_missing"])
 
 
 def _field_chunk(model, nodes, t, method, tol, dt):
@@ -175,7 +173,9 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     Nodes are partitioned into fixed-size chunks (CHUNK_NODES per method)
     computed serially or on a process pool; the partition does not depend
     on ``workers``, so fields are identical for any worker count. A model
-    that :func:`builtin_model` did not make runs serially, with a warning.
+    that :func:`builtin_model` did not make runs serially, with a warning,
+    and the field names it ``user:<name>`` without params, since
+    ``dataclasses.replace`` keeps a catalog name over other coefficients.
     A node with a non-finite result is recorded as missing; more than 0.1
     percent missing raises FieldError.
     """
@@ -206,8 +206,9 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
         raise FieldError(f"{n_missing} of {len(values)} grid nodes failed "
                          f"for model {model.name!r} at t={t}")
     values = np.where(np.isfinite(values), values, np.nan)
-    return S2Field(grid, values, float(t), model.name, dict(model.params),
-                   n_missing)
+    name, params = (f"user:{model.name}", {}) if model._recipe is None \
+        else (model.name, dict(model.params))
+    return S2Field(grid, values, float(t), name, params, n_missing)
 
 
 def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],

@@ -51,6 +51,63 @@ def model_and_point(name, **params):
     return model, np.asarray(TEST_POINTS[name], dtype=float)
 
 
+def _sine_flow(x, t):
+    # separable solution of dy/dt = sin(y) on (-pi, pi)
+    return 2.0 * np.arctan(np.exp(t) * np.tan(0.5 * np.asarray(x, dtype=float)))
+
+
+def _sine_flow_gradient(x, t):
+    tn = np.tan(0.5 * np.asarray(x, dtype=float))
+    return (np.exp(t) * (1.0 + tn ** 2) / (1.0 + (np.exp(t) * tn) ** 2))[
+        ..., None]
+
+
+def _growth_flow(x, t):
+    return np.exp(0.5 * t) * np.asarray(x, dtype=float)
+
+
+def _growth_flow_gradient(x, t):
+    x = np.asarray(x, dtype=float)
+    return np.full(x.shape + (1,), np.exp(0.5 * t))
+
+
+def _affine_flow(a, b):
+    """Flow and flow gradient of dy/dt = A y + b, from the augmented
+    matrix exponential."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = len(b)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n] = a, b
+
+    def flow(x, t):
+        phi = expm(aug * t)
+        return np.asarray(x, dtype=float) @ phi[:n, :n].T + phi[:n, n]
+
+    def gradient(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(expm(a * t), x.shape[:-1] + (n, n)).copy()
+
+    return flow, gradient
+
+
+#: catalog name -> its params -> (flow, flow gradient) in closed form; the
+#: gradient has shape (..., n, n) and both reduce to the identity at t = 0
+FLOW_ORACLES = {
+    "sine": lambda: (_sine_flow, _sine_flow_gradient),
+    "linear_multiplicative": lambda: (_growth_flow, _growth_flow_gradient),
+    "linear_additive": lambda a_matrix, b_vector, sigma_matrix:
+        _affine_flow(a_matrix, b_vector),
+    "ornstein_uhlenbeck": lambda a: _affine_flow([[-a]], [0.0]),
+    "brownian": lambda dim: _affine_flow(np.zeros((dim, dim)), np.zeros(dim)),
+}
+
+
+def flow_oracle(model):
+    """The closed-form (flow, flow gradient) of a catalog model, or None."""
+    build = FLOW_ORACLES.get(model.name)
+    return None if build is None else build(**model.params)
+
+
 def cubic_model(sine):
     """dy/dt = y^3, which blows up at t = 1 / (2 y0^2), with sine's noise."""
     return VectorFieldModel(

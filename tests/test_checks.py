@@ -188,3 +188,50 @@ def test_no_rule_is_written_out_outside_the_rules_module(module):
                            and isinstance(c.value, str))
             copies += [(node.lineno, p) for p in RULE_PHRASES if p in text]
     assert not copies, f"{module}: call linsde._checks instead at {copies}"
+
+
+def _tree(module):
+    return ast.parse((Path(linsde.__file__).parent / module).read_text())
+
+
+#: names whose use parses CSV
+CSV_PARSERS = ("loadtxt", "genfromtxt", "csv")
+
+
+def _csv_parsing(node) -> list:
+    """The CSV parsers that one syntax node names or calls."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or "", *(a.name for a in node.names)]
+    else:
+        names = [getattr(node, "attr", getattr(node, "id", ""))]
+    found = [n for n in names if n in CSV_PARSERS]
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "split" \
+            and any(isinstance(a, ast.Constant) and a.value == ","
+                    for a in node.args):
+        found.append('split(",")')
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES
+                                    if m != "artifacts.py"])
+def test_no_csv_is_parsed_outside_the_artifacts_module(module):
+    found = [(node.lineno, name) for node in ast.walk(_tree(module))
+             for name in _csv_parsing(node)]
+    assert not found, f"{module}: read tables with linsde.artifacts at {found}"
+
+
+def test_scipy_is_used_for_one_solver_and_one_special_function():
+    # the whole scipy surface of the library, to be replaced by an
+    # in-house integrator and math.gamma
+    used = set()
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "scipy":
+                used |= {f"{node.module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Import):
+                used |= {a.name for a in node.names
+                         if a.name.split(".")[0] == "scipy"}
+    assert used <= {"scipy.integrate.solve_ivp", "scipy.special.gamma"}, used

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tempfile
@@ -243,6 +244,23 @@ class TestFieldCommands:
         assert np.all(values > 0) and np.all(np.isfinite(values))
         meta = json.loads((tmp_path / "out" / "field.json").read_text())
         assert meta["grid"] == [[0.0, 3.0, 5], [0.0, 3.0, 4]]
+
+    @pytest.mark.parametrize("command", ["s2-field", "robust-set"])
+    def test_field_is_labelled_by_the_config_model(self, tmp_path,
+                                                   monkeypatch, command):
+        # a copy of the catalog model made by dataclasses.replace has no
+        # recipe; the CLI names the model its config names, so the
+        # artifacts do not change
+        cfg = {**self.field_config(tmp_path), "command": command,
+               "threshold": 1.0}
+        path = write_config(tmp_path, cfg)
+        assert main([path]) == 0
+        first = artifact_bytes(tmp_path / "out")
+        build = cli.builtin_model
+        monkeypatch.setattr(cli, "builtin_model",
+                            lambda *a, **k: dataclasses.replace(build(*a, **k)))
+        assert main([path]) == 0
+        assert artifact_bytes(tmp_path / "out") == first
 
     def test_robust_set(self, tmp_path):
         cfg = self.field_config(tmp_path)

@@ -69,3 +69,11 @@ def test_run_inputs_are_stated_once():
                                        "n_flagged", "n_retained", "rho", "t"]
     assert sorted(batch.sidecar()["config"]) == ["dt", "n_samples", "scheme",
                                                  "seed"]
+
+
+def test_the_model_contract_carries_no_flow_oracle():
+    # closed-form flows are test oracles and live in the tests' conftest
+    assert [f.name for f in dataclasses.fields(models.VectorFieldModel)
+            if f.init] == ["name", "dim_state", "dim_noise", "drift",
+                           "drift_gradient", "diffusion", "constants",
+                           "diffusion_gradient", "domain", "params"]

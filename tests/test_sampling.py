@@ -23,8 +23,7 @@ def cubic_drift_model():
         name="cubic", dim_state=1, dim_noise=1,
         drift=lambda x, t: np.asarray(x, dtype=float) ** 3,
         drift_gradient=lambda x, t: 3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
-        diffusion=base.diffusion, constants=base.constants,
-        analytic_flow=None)
+        diffusion=base.diffusion, constants=base.constants)
 
 
 class TestConfig:

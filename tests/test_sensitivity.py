@@ -9,7 +9,7 @@ from linsde import linearise, sensitivity
 from linsde.artifacts import write_record
 from linsde.exceptions import IntegrationFailure
 from linsde.linearise import InitialCondition, linearised_distribution
-from linsde.models import VectorFieldModel
+from linsde.models import VectorFieldModel, builtin_model
 from linsde.sampling import SimulationConfig
 from linsde.sensitivity import (GridSpec, S2Field, check_field,
                                 extract_robust_set, read_field,
@@ -147,6 +147,23 @@ class TestS2Field:
         np.testing.assert_array_equal(twice.values, serial.values)
         np.testing.assert_allclose(serial.values, (1.0 - math.exp(-6.0)) / 6.0,
                                    rtol=1e-5)
+        # and the header does not name the stock model, which gives
+        # (1 - e^{-2}) / 2 under {"a": 1.0}
+        for field in (serial, twice):
+            assert (field.header()["model"], field.header()["params"]) == (
+                "user:ornstein_uhlenbeck", {})
+
+    def test_catalog_header_holds_the_full_parameter_set(self, tmp_path):
+        # the recipe holds the parameters that were passed, none here; the
+        # header holds them all, as it always has
+        ou = builtin_model("ornstein_uhlenbeck")
+        assert ou._recipe == ("ornstein_uhlenbeck", {})
+        field = s2_field(ou, GridSpec(((-1.0, 1.0, 3),)), 1.0)
+        write_record(tmp_path / "f.json", field.header())
+        assert (tmp_path / "f.json").read_text() == (
+            '{\n  "grid": [\n    [\n      -1.0,\n      1.0,\n      3\n    ]\n'
+            '  ],\n  "model": "ornstein_uhlenbeck",\n  "n_missing": 0,\n'
+            '  "params": {\n    "a": 1.0\n  },\n  "t": 1.0\n}\n')
 
     def test_fast_path_close_to_adaptive(self, jet):
         grid = GridSpec(((0.0, 3.0, 5), (0.0, 3.0, 4)))
