@@ -35,7 +35,11 @@ class VectorFieldModel:
 
     ``drift``, ``drift_gradient`` (the exact analytic spatial gradient of
     the drift) and ``diffusion`` are the model contract; a user model needs
-    nothing else. :meth:`coefficients` evaluates all three at one point,
+    nothing else. They must be row-independent: each row of a batch
+    (k, n), at its own time, gets the bits it gets alone as a (1, n)
+    batch, since the adaptive covariance kernel evaluates the nodes still
+    running as one batch and fields promise values that do not depend on
+    their blocks. :meth:`coefficients` evaluates all three at one point,
     through a fused evaluation that shares work between them where the
     catalog provides one (the meandering jet), else through the three
     callables. Neither the fused evaluation nor the recipe that
@@ -173,17 +177,25 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
     c, A, K, e, c1, k1, l1 = p.c, p.A, p.K, p.eps_mj, p.c1, p.k1, p.l1
 
     def trig(x, t, phase=True):
-        # one point gives Python floats and numpy scalars rather than 0-d
-        # arrays: the terms' values are the same, and scalar arithmetic is
-        # several times cheaper
+        """The batch shape and the sines and cosines of the coefficients."""
+        # one point, alone or as a one-row batch, gives Python floats and
+        # numpy scalars rather than arrays: the terms' values are the same,
+        # and scalar arithmetic is several times cheaper
         x = np.asarray(x, dtype=float)
-        y1, y2 = x.tolist() if x.ndim == 1 else (x[..., 0], x[..., 1])
+        shape = x.shape[:-1]
+        if phase and np.shape(t) not in ((), shape):
+            shape = np.broadcast_shapes(shape, np.shape(t))
+        if math.prod(shape) == 1:
+            y1, y2 = x.ravel().tolist()
+            t = np.asarray(t).item() if phase else t
+        else:
+            y1, y2 = x[..., 0], x[..., 1]
         terms = (np.sin(K * y1), np.cos(K * y1), np.sin(y2), np.cos(y2))
         if not phase:
-            return terms
+            return shape, terms
         ph = k1 * (y1 - c1 * t)
-        return terms + (np.sin(ph), np.cos(ph), np.sin(l1 * y2),
-                        np.cos(l1 * y2))
+        return shape, terms + (np.sin(ph), np.cos(ph), np.sin(l1 * y2),
+                               np.cos(l1 * y2))
 
     def drift_entries(terms):
         s1, cq, s2, c2, sp, cp, sl, cl = terms
@@ -205,36 +217,38 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
     def pack(shape, entries, tail):
         """``entries`` (row-major over ``tail``) of a batch of ``shape`` as
         one contiguous array of shape ``shape + tail``."""
-        if not shape:
-            return np.array(entries).reshape(tail)
+        if math.prod(shape) == 1:
+            return np.array(entries).reshape(shape + tail)
         out = np.empty(shape + (len(entries),))
         for k, entry in enumerate(entries):
             out[..., k] = entry
         return out.reshape(shape + tail)
 
-    # the phase terms carry t, so their shape is the drift's
+    # the phase terms carry t, so the drift's shape is theirs
     def drift(x, t):
-        terms = trig(x, t)
-        return pack(terms[4].shape, drift_entries(terms), (2,))
+        shape, terms = trig(x, t)
+        return pack(shape, drift_entries(terms), (2,))
 
     def drift_gradient(x, t):
-        terms = trig(x, t)
-        return pack(terms[4].shape, gradient_entries(terms), (2, 2))
+        shape, terms = trig(x, t)
+        return pack(shape, gradient_entries(terms), (2, 2))
 
     def diffusion(x, t):
-        terms = trig(x, t, phase=False)
-        return pack(terms[0].shape, diffusion_entries(terms), (2, 2))
+        shape, terms = trig(x, t, phase=False)
+        return pack(shape, diffusion_entries(terms), (2, 2))
 
     def fused(x, t):
-        terms = trig(x, t)
+        shape, terms = trig(x, t)
         u, g, d = (drift_entries(terms), gradient_entries(terms),
                    diffusion_entries(terms))
-        if terms[4].ndim == 0:
+        if math.prod(shape) == 1:
             # one point: one small array holds all three
             buf = np.array(u + g + d)
-            return buf[:2], buf[2:6].reshape(2, 2), buf[6:].reshape(2, 2)
-        return (pack(terms[4].shape, u, (2,)), pack(terms[4].shape, g, (2, 2)),
-                pack(terms[0].shape, d, (2, 2)))
+            return (buf[:2].reshape(shape + (2,)),
+                    buf[2:6].reshape(shape + (2, 2)),
+                    buf[6:].reshape(np.shape(x)[:-1] + (2, 2)))
+        return (pack(shape, u, (2,)), pack(shape, g, (2, 2)),
+                pack(np.shape(x)[:-1], d, (2, 2)))
 
     model = VectorFieldModel(
         name="meandering_jet", dim_state=2, dim_noise=2, drift=drift,
@@ -268,7 +282,9 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
     m = S.shape[1]
 
     def drift(x, t):
-        return np.asarray(x, dtype=float) @ A.T + b
+        # a sum per row rather than a matrix product, whose rounding
+        # depends on the number of rows
+        return (np.asarray(x, dtype=float)[..., None, :] * A).sum(-1) + b
 
     def drift_gradient(x, t):
         x = np.asarray(x, dtype=float)

@@ -98,8 +98,12 @@ class SweepResult:
 
 
 def read_sweep(path) -> SweepResult:
-    """Round-trip reader for the sweep CSV schema."""
+    """Round-trip reader for the sweep CSV schema. ``r`` and ``n`` are read
+    from the first row, so a sweep of no cells cannot be read back."""
     table = read_table(path)
+    if not table["r"]:
+        raise ValueError(f"{path}: the sweep has no cells, so its r and n "
+                         "are not recorded")
     return SweepResult(*(np.array(table[k], dtype=float)
                          for k in ("epsilon", "rho", "estimate", "stderr")),
                        np.array(table["seed"], dtype=np.uint64),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from linsde.models import VectorFieldModel, builtin_model
@@ -145,3 +146,29 @@ def linear_additive_law(a, b, sigma, mean0, sigma0, eps, t):
     cov = flow[:n, :n] @ sigma0 @ flow[:n, :n].T \
         + eps ** 2 * van_loan_covariance(a, sigma, t)
     return mean, cov
+
+
+def rk45_oracle(model, x0, t, tol, need_gradient):
+    """State, DF (or None) and unit-noise covariance at t of one node from
+    scipy's RK45 on the concatenated covariance RHS of the model's three
+    callables, at the adaptive kernel's tolerances; and the solve's number
+    of RHS evaluations."""
+    n = model.dim_state
+    ng = n * n if need_gradient else 0
+
+    def rhs(s, z):
+        x = z[:n]
+        pi = z[n + ng:].reshape(n, n)
+        pi = 0.5 * (pi + pi.T)
+        jac, sig = model.drift_gradient(x, s), model.diffusion(x, s)
+        grad = jac @ z[n:n + ng].reshape(n, n) if need_gradient \
+            else np.empty(0)
+        return np.concatenate([model.drift(x, s), grad.ravel(),
+                               (jac @ pi + pi @ jac.T + sig @ sig.T).ravel()])
+
+    z0 = np.concatenate([x0, np.eye(n).ravel()[:ng], np.zeros(n * n)])
+    sol = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol,
+                    atol=tol * 1e-2)
+    z = sol.y[:, -1]
+    grad = z[n:n + ng].reshape(n, n) if need_gradient else None
+    return (z[:n], grad, z[n + ng:].reshape(n, n)), sol.nfev

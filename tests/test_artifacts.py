@@ -164,6 +164,18 @@ def test_sweep_reader_returns_what_was_written(tmp_path):
             back.distances) == (float, 2.0, int, 300, None)
 
 
+def test_a_sweep_of_no_cells_is_refused_by_name(tmp_path):
+    # its r and n live in the rows, so the header alone cannot give them;
+    # the read used to end in an IndexError
+    empty = np.empty(0)
+    SweepResult(empty, empty, empty, empty, np.empty(0, dtype=np.uint64),
+                1.0, 10).write_csv(tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_text() == \
+        "epsilon,rho,r,estimate,stderr,n,seed\n"
+    with pytest.raises(ValueError, match=r"s\.csv: the sweep has no cells"):
+        read_sweep(tmp_path / "s.csv")
+
+
 def test_field_readers_return_what_was_written(tmp_path):
     grid = GridSpec(((0.0, 1.0, 3), (-1.0, 1.0, 2)))
     values = np.array([0.5, nan, 5e-324, 2.0, 1e300, 0.25])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 from linsde import linearise
 from linsde.artifacts import write_record
@@ -16,12 +15,12 @@ from linsde.flow import solve_flow
 from linsde.linearise import (GaussianState, InitialCondition,
                               covariance_by_quadrature,
                               linearised_distribution)
-from linsde.models import VectorFieldModel, builtin_model
+from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 from linsde.sampling import SimulationConfig, sample_coupled
 from linsde.sensitivity import GridSpec, s2_field
 
 from conftest import (cubic_model, linear_additive_law, model_and_point,
-                      van_loan_covariance)
+                      rk45_oracle, van_loan_covariance)
 
 ALL_MODELS = [("sine", {}), ("linear_multiplicative", {}),
               ("meandering_jet", {}), ("ornstein_uhlenbeck", {}),
@@ -175,7 +174,7 @@ class TestFixedStepPointPath:
 
     def test_gaussian_law_needs_no_adaptive_solve(self, monkeypatch, jet):
         monkeypatch.setattr(linearise, "solve_flow", None)
-        monkeypatch.setattr(linearise, "solve_ivp", None)
+        monkeypatch.setattr(linearise, "_dormand_prince", None)
         init = InitialCondition.gaussian([0.35, 1.05], rho=0.1,
                                          reference_point=[0.3, 1.1])
         law = linearised_distribution(jet, init, 1.0, 0.05, method="mazzoni",
@@ -188,7 +187,7 @@ class TestFixedStepPointPath:
         # dy/dt = y^3 from 1 blows up at t = 0.5; the failure is found by
         # the fixed-step kernel itself, with or without DF
         monkeypatch.setattr(linearise, "solve_flow", None)
-        monkeypatch.setattr(linearise, "solve_ivp", None)
+        monkeypatch.setattr(linearise, "_dormand_prince", None)
         with pytest.raises(IntegrationFailure, match="non-finite"):
             linearised_distribution(cubic_model(sine),
                                     start([1.0], sigma_init), 2.0, 1.0,
@@ -250,26 +249,61 @@ NODES = np.array([[0.3, 1.1], [2.5, 0.4]])
 
 
 @pytest.mark.parametrize("need_gradient", [False, True])
-def test_adaptive_rhs_makes_one_coefficients_call(monkeypatch, jet,
-                                                  need_gradient):
-    nfev = []
+def test_adaptive_kernel_makes_one_coefficients_call_per_stage(
+        monkeypatch, jet, need_gradient):
+    # a node's RK45 solve takes 2 + 6 * (attempted steps) RHS evaluations;
+    # the block makes one coefficients call per stage, on a (k, n) batch of
+    # the nodes still running, so as many calls as its slowest node takes
+    # evaluations, and as many rows as all its nodes take together
+    nfev = [rk45_oracle(jet, x0, 0.5, 1e-6, need_gradient)[1]
+            for x0 in NODES]
+    rows = []
+    coefficients = VectorFieldModel.coefficients
 
-    def solve(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-    monkeypatch.setattr(linearise, "solve_ivp", solve)
-    calls = _count_calls(monkeypatch)
+    def counted(self, x, t):
+        assert x.ndim == 2 and np.shape(t) == (len(x),)
+        rows.append(len(x))
+        return coefficients(self, x, t)
+    monkeypatch.setattr(VectorFieldModel, "coefficients", counted)
     linearise._propagate_rk45(jet, NODES, 0.5, 1e-6, need_gradient)
-    assert calls == {"coefficients": sum(nfev)}
+    assert (len(rows), sum(rows)) == (max(nfev), sum(nfev))
+    # a lone node is a one-row batch too
+    rows.clear()
+    linearise._propagate_rk45(jet, NODES[0], 0.5, 1e-6, need_gradient)
+    assert set(rows) == {1} and len(rows) == nfev[0]
     # without the fused evaluation each callable is called once instead
-    nfev.clear()
-    calls.clear()
+    calls = _count_calls(monkeypatch)
     linearise._propagate_rk45(_counting_callables(jet, calls), NODES, 0.5,
                               1e-6, need_gradient)
-    n = sum(nfev)
-    assert calls == {"coefficients": n, "drift": n, "drift_gradient": n,
-                     "diffusion": n}
+    k = max(nfev)
+    assert calls == {"coefficients": k, "drift": k, "drift_gradient": k,
+                     "diffusion": k}
+
+
+@pytest.mark.parametrize("need_gradient", [False, True])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_adaptive_kernel_matches_scipy_rk45_per_node(name, need_gradient):
+    # the kernel copies scipy RK45's controller, so each node takes scipy's
+    # steps and ends within rounding of its per-node solve
+    model, x0 = model_and_point(name)
+    nodes = x0 + np.linspace(-0.4, 0.4, 5)[:, None]
+    got = linearise._propagate_rk45(model, nodes, 1.5, 1e-6, need_gradient)
+    for i, node in enumerate(nodes):
+        want, _ = rk45_oracle(model, node, 1.5, 1e-6, need_gradient)
+        for part, ref in zip(got, want):
+            if ref is None:
+                assert part is None
+                continue
+            assert np.linalg.norm(part[i] - ref) \
+                <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+
+
+@pytest.mark.parametrize("need_gradient", [False, True])
+def test_adaptive_kernel_of_no_nodes_is_empty(jet, need_gradient):
+    state, grad, cov = linearise._propagate_rk45(jet, np.empty((0, 2)), 1.0,
+                                                 1e-6, need_gradient)
+    assert state.shape == (0, 2) and cov.shape == (0, 2, 2)
+    assert grad is None if not need_gradient else grad.shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("need_gradient", [False, True])
@@ -548,7 +582,7 @@ def test_nonfinite_arguments_rejected_before_solve(monkeypatch, ou, t,
                                                    epsilon, options):
     # NaN passes t < 0 and tol <= 0, and the adaptive solver never
     # returned; a mazzoni dt = inf ran one silent step
-    monkeypatch.setattr(linearise, "solve_ivp", None)
+    monkeypatch.setattr(linearise, "_dormand_prince", None)
     monkeypatch.setattr(linearise, "solve_flow", None)
     with pytest.raises(ValueError):
         fixed_law(ou, [0.5], t, epsilon, **options)
@@ -562,7 +596,7 @@ def test_nonfinite_arguments_rejected_before_solve(monkeypatch, ou, t,
 @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
 def test_bad_point_or_mean_rejected_before_solve(monkeypatch, jet, t, x0,
                                                  mean0, method):
-    for name in ("solve_ivp", "solve_flow", "_propagate_fixed_step",
+    for name in ("_dormand_prince", "solve_flow", "_propagate_fixed_step",
                  "_propagate_rk45"):
         monkeypatch.setattr(linearise, name, None)
     with pytest.raises(ValueError, match="mean|reference_point"):

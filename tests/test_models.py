@@ -4,13 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from linsde.exceptions import UnknownModelError
 from linsde.linearise import _propagate_fixed_step, _propagate_rk45
 from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
 
-from conftest import TEST_POINTS, flow_oracle
+from conftest import TEST_POINTS, flow_oracle, rk45_oracle
 
 
 def test_catalog_names():
@@ -301,29 +300,49 @@ def test_jet_coefficients_equal_stacked_reference_bitwise(jet, shape, t_shape):
             assert np.array_equal(got, want), name
 
 
-def test_jet_rk45_covariance_equals_concatenated_rhs_bitwise(jet):
-    # the covariance RHS writes its parts in place; a solve with the
-    # concatenated RHS of the reference coefficients takes the same steps
-    ref = _stacked_jet(jet.params)
-    x0, t, tol, n = np.array([0.3, 1.1]), 1.0, 1e-6, 2
+def test_jet_rk45_fused_equals_callables_and_scipy(jet):
+    # the covariance kernel gives the same bits through the fused
+    # evaluation as through the three callables, and both are within
+    # rounding of scipy's RK45 on the concatenated RHS of the reference
+    # coefficients
+    nodes, t, tol = np.array([[0.3, 1.1], [2.5, 0.4]]), 1.0, 1e-6
+    fused = _propagate_rk45(jet, nodes, t, tol, True)
+    plain = _propagate_rk45(dataclasses.replace(jet), nodes, t, tol, True)
+    for got, want in zip(fused, plain):
+        assert np.array_equal(got, want)
+    reference = VectorFieldModel(name="stacked", dim_state=2, dim_noise=2,
+                                 constants=jet.constants,
+                                 **_stacked_jet(jet.params))
+    for i, node in enumerate(nodes):
+        want, _ = rk45_oracle(reference, node, t, tol, True)
+        for got, ref in zip(fused, want):
+            assert np.linalg.norm(got[i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def rhs(s, z):
-        x = z[:n]
-        pi = z[n + n * n:].reshape(n, n)
-        pi = 0.5 * (pi + pi.T)
-        jac = ref["drift_gradient"](x, s)
-        sig = ref["diffusion"](x, s)
-        dpi = jac @ pi + pi @ jac.T + sig @ sig.T
-        grad = z[n:n + n * n].reshape(n, n)
-        return np.concatenate([ref["drift"](x, s), (jac @ grad).ravel(),
-                               dpi.ravel()])
 
-    z0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n)])
-    zT = solve_ivp(rhs, (0.0, t), z0, method="RK45", rtol=tol,
-                   atol=tol * 1e-2).y[:, -1]
-    state, grad, unit = _propagate_rk45(jet, x0, t, tol, True)
-    assert np.array_equal(np.concatenate([state, grad.ravel(), unit.ravel()]),
-                          zT)
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_coefficients_of_a_batch_are_its_rows_bitwise(name, k):
+    # the adaptive kernel evaluates the nodes still running as one (k, n)
+    # batch, each at its own time, so no row may depend on the others; a
+    # matrix-product drift rounded a one-row batch differently
+    model = builtin_model(name)
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-2.0, 2.0, (k, model.dim_state))
+    t = rng.uniform(0.0, 2.0, k)
+    whole = dict(zip(("drift", "drift_gradient", "diffusion"),
+                     model.coefficients(x, t)))
+    for name in whole:
+        assert _bits(getattr(model, name)(x, t)) == _bits(whole[name])
+    for i in range(k):
+        row = (x[i:i + 1], t[i:i + 1])
+        for name, part in zip(whole, model.coefficients(*row)):
+            assert _bits(part) == _bits(whole[name][i:i + 1]), (name, i)
+            assert _bits(getattr(model, name)(*row)) == _bits(part)
 
 
 def test_replaced_coefficient_drops_the_fused_evaluation(jet):

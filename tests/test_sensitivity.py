@@ -45,7 +45,7 @@ class TestS2Point:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nonfinite_horizon_rejected_before_solve(self, monkeypatch, ou,
                                                      t):
-        monkeypatch.setattr(linearise, "solve_ivp", None)
+        monkeypatch.setattr(linearise, "_dormand_prince", None)
         with pytest.raises(ValueError, match="finite"):
             s2_point(ou, [0.5], t)
 
@@ -99,7 +99,7 @@ class TestGridSpec:
             self, monkeypatch, ou, axis, message):
         # a NaN bound used to reach the first node's solve, which failed
         # with the solver's own error about a non-finite initial state
-        monkeypatch.setattr(linearise, "solve_ivp", None)
+        monkeypatch.setattr(linearise, "_dormand_prince", None)
         with pytest.raises(ValueError, match=f"axis .*{message}"):
             s2_field(ou, GridSpec((axis,)), 1.0)
 
