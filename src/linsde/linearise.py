@@ -326,9 +326,9 @@ def _covariance_rate(model, n, need_gradient):
 def _propagate_rk45(model, x0, t, tol, need_gradient):
     """States, DF (or None) and unit-noise covariances at t of the nodes of
     ``x0`` (..., n), stepped together by one Dormand-Prince 5(4) loop with
-    scipy RK45's controller per node (relative tolerance ``tol``, clamped
-    to 100 ulp as scipy does, absolute ``tol / 100``); a node that fails
-    ends as NaN rows."""
+    scipy RK45's controller per node (relative tolerance ``tol``, at least
+    100 machine epsilons as in scipy, absolute ``tol / 100``); a node that
+    fails ends as NaN rows."""
     n = x0.shape[-1]
     ng = n * n if need_gradient else 0
     nodes = x0.reshape(-1, n)

@@ -281,10 +281,21 @@ def _linear_additive_model(a_matrix=None, b_vector=None, sigma_matrix=None) -> V
         raise ValueError("inconsistent linear-additive coefficient shapes")
     m = S.shape[1]
 
+    rows, offsets = A.tolist(), b.tolist()
+
     def drift(x, t):
-        # a sum per row rather than a matrix product, whose rounding
-        # depends on the number of rows
-        return (np.asarray(x, dtype=float)[..., None, :] * A).sum(-1) + b
+        # products summed column by column, the same for every row: a
+        # matrix product rounds a one-row batch differently from a longer
+        # one; a point's columns are Python floats, the same bits cheaper
+        x = np.asarray(x, dtype=float)
+        cols = x.tolist() if x.ndim == 1 else [x[..., j] for j in range(n)]
+        out = np.empty(x.shape)
+        for i, row in enumerate(rows):
+            acc = cols[0] * row[0]
+            for j in range(1, n):
+                acc = acc + cols[j] * row[j]
+            out[..., i] = acc + offsets[i]
+        return out
 
     def drift_gradient(x, t):
         x = np.asarray(x, dtype=float)

@@ -38,10 +38,10 @@ __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "robust_header", "read_field"]
 
 #: nodes per task for each field method; fixed so that results do not
-#: depend on the worker count. Both kernels are vectorised over a block;
-#: "rk45" keeps smaller blocks, since a block steps until its slowest node
-#: ends (a 4096-node block was 1.5 times faster on a 12x10 jet field, but
-#: raised the benchmark's peak memory)
+#: depend on the worker count. Both kernels are vectorised over a block.
+#: "rk45" stays at 64 although one 4096-node block ran a 12x10 jet field
+#: 1.5 times faster: in the benchmark it raised peak memory by up to 5%,
+#: through garbage the harness's re-imports leave for full collections
 CHUNK_NODES = {"rk45": 64, "mazzoni": 4096}
 
 MAX_MISSING_FRACTION = 0.001
