@@ -6,13 +6,13 @@ zero initial covariance. It is independent of the noise scale and can be
 evaluated over grids of initial conditions to expose coherent flow regions;
 robust sets collect the nodes whose value stays below a threshold.
 
-Fields are embarrassingly parallel: nodes are pure, independent
-computations, partitioned into fixed-size chunks whose results are written
-by index, so a field is bit-identical for any worker count. Each chunk
-goes through the covariance kernel that also serves :func:`s2_point`
-("rk45" steps the block's nodes together, each with its own adaptive
-step, "mazzoni" advances the block with fixed steps), whose nodes do not
-see each other, and a node whose result is non-finite goes missing.
+Fields are embarrassingly parallel: a field's nodes are cut into blocks,
+and each block goes through the covariance kernel that also serves
+:func:`s2_point` ("rk45" steps the block's nodes together, each with its
+own adaptive step, "mazzoni" advances the block with fixed steps). Both
+kernels compute every row alone, so a node's value does not depend on
+which block holds it, and a field is bit-identical for any partition and
+any worker count. A node whose result is non-finite goes missing.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
            "robust_header", "read_field"]
 
-#: nodes per task for each field method; fixed so that results do not
-#: depend on the worker count. Both kernels are vectorised over a block.
-#: "rk45" stays at 64 although one 4096-node block ran a 12x10 jet field
-#: 1.5 times faster: in the benchmark it raised peak memory by up to 5%,
-#: through garbage the harness's re-imports leave for full collections
-CHUNK_NODES = {"rk45": 64, "mazzoni": 4096}
+#: most nodes in one kernel call, for both methods. Both kernels are
+#: vectorised over a block, and their per-step cost is mostly per call, so
+#: a field runs in as few blocks as this bound and the workers allow
+BLOCK_NODES = 4096
 
 MAX_MISSING_FRACTION = 0.001
 
@@ -174,9 +172,10 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
 
     Every node takes the covariance kernel of :func:`s2_point` for
     ``method``: "rk45" adaptive to ``tol``, "mazzoni" fixed steps of ``dt``.
-    Nodes are partitioned into fixed-size chunks (CHUNK_NODES per method)
-    computed serially or on a process pool; the partition does not depend
-    on ``workers``, so fields are identical for any worker count. A model
+    Nodes are split evenly into a multiple of ``workers`` blocks of at most
+    BLOCK_NODES nodes, none empty, computed serially or on a process pool.
+    The kernels compute each node alone, so values do not depend on the
+    partition, and fields are identical for any worker count. A model
     that :func:`builtin_model` did not make runs serially, with a warning,
     and the field names it ``user:<name>`` without params, since
     ``dataclasses.replace`` keeps a catalog name over other coefficients.
@@ -185,25 +184,25 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
     """
     check_field(model, grid, workers, tol, method, dt)
     _checks.at_least(t, "t")
-    nodes = grid.points()
-    chunk = CHUNK_NODES[method]
-    blocks = [nodes[i:i + chunk] for i in range(0, len(nodes), chunk)]
-
     if workers > 1 and model._recipe is None:
         warnings.warn(f"model {model.name!r} was not built by builtin_model "
                       "and cannot be shipped to worker processes; running "
                       "serially", RuntimeWarning)
         workers = 1
 
+    nodes = grid.points()
+    per_worker = -(-len(nodes) // (workers * BLOCK_NODES))
+    blocks = np.array_split(nodes, min(len(nodes), workers * per_worker))
     if workers == 1:
         results = [_field_chunk(model, blk, t, method, tol, dt)
                    for blk in blocks]
     else:
         payloads = [(*model._recipe, blk, t, method, tol, dt)
                     for blk in blocks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers,
+                                                 len(blocks))) as pool:
             results = list(pool.map(_pool_chunk, payloads))
-    values = np.concatenate(results) if results else np.empty(0)
+    values = np.concatenate(results)
 
     n_missing = int(np.count_nonzero(~np.isfinite(values)))
     if n_missing > MAX_MISSING_FRACTION * max(1, len(values)):

@@ -186,9 +186,66 @@ class TestS2Field:
         shuffled = sensitivity._field_chunk(jet, grid.points()[order], 0.5,
                                             method, 1e-6, 2e-3)
         np.testing.assert_array_equal(shuffled, whole[order])
-        monkeypatch.setitem(sensitivity.CHUNK_NODES, method, 7)
+        monkeypatch.setattr(sensitivity, "BLOCK_NODES", 7)
         np.testing.assert_array_equal(
             s2_field(jet, grid, 0.5, method=method).values, whole)
+
+    @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
+    @pytest.mark.parametrize("count, rows", [
+        (1, [1]), (sensitivity.BLOCK_NODES, [sensitivity.BLOCK_NODES]),
+        (sensitivity.BLOCK_NODES + 1, [sensitivity.BLOCK_NODES // 2 + 1,
+                                       sensitivity.BLOCK_NODES // 2])])
+    def test_serial_field_runs_in_fewest_kernel_calls(self, monkeypatch, ou,
+                                                      method, count, rows):
+        calls = []
+
+        def counting(model, x0, *args):
+            calls.append(len(x0))
+            return linearise._propagate(model, x0, *args)
+
+        monkeypatch.setattr(sensitivity, "_propagate", counting)
+        s2_field(ou, GridSpec(((-1.0, 1.0, count),)), 0.1, method=method)
+        assert calls == rows
+
+    @staticmethod
+    def _inline_pool(monkeypatch):
+        """Stand in for the process pool: record its size and each task's
+        block, and run the tasks in this process."""
+        seen = {"max_workers": [], "blocks": []}
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen["max_workers"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                seen["blocks"] += [len(p[2]) for p in payloads]
+                return map(fn, payloads)
+
+        monkeypatch.setattr(sensitivity, "ProcessPoolExecutor", Pool)
+        return seen
+
+    def test_blocks_split_evenly_over_workers(self, monkeypatch, jet):
+        grid = GridSpec(((0.0, 3.0, 12), (0.0, 3.0, 10)))
+        serial = s2_field(jet, grid, 0.5).values
+        seen = self._inline_pool(monkeypatch)
+        twice = s2_field(jet, grid, 0.5, workers=2).values
+        assert seen == {"max_workers": [2], "blocks": [60, 60]}
+        np.testing.assert_array_equal(twice, serial)
+
+    def test_fewer_nodes_than_workers_make_no_empty_block(self, monkeypatch,
+                                                          jet):
+        grid = GridSpec(((0.3, 0.3, 1), (1.1, 1.1, 1)))
+        seen = self._inline_pool(monkeypatch)
+        field = s2_field(jet, grid, 0.5, workers=3)
+        assert seen == {"max_workers": [1], "blocks": [1]}
+        assert field.values[0] == s2_point(jet, [0.3, 1.1], 0.5, tol=1e-6)
 
     @pytest.mark.parametrize("method", ["rk45", "mazzoni"])
     def test_blow_up_node_is_nan_without_touching_the_block(self, sine,
