@@ -172,8 +172,9 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
 
     Every node takes the covariance kernel of :func:`s2_point` for
     ``method``: "rk45" adaptive to ``tol``, "mazzoni" fixed steps of ``dt``.
-    Nodes are split evenly into a multiple of ``workers`` blocks of at most
-    BLOCK_NODES nodes, none empty, computed serially or on a process pool.
+    Nodes are split evenly into blocks of at most BLOCK_NODES nodes, the
+    same number for each worker unless that would leave a block empty,
+    computed serially or on a process pool of at most one worker a block.
     The kernels compute each node alone, so values do not depend on the
     partition, and fields are identical for any worker count. A model
     that :func:`builtin_model` did not make runs serially, with a warning,
