@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from . import _checks
 from .exceptions import NumericalDomainError
@@ -95,24 +94,35 @@ class BoundBreakdown:
         }
 
 
+def _overflowed() -> float:
+    """+inf for a constant that overflowed (the bound stays valid, just
+    vacuous), with a warning."""
+    warnings.warn("bound constant overflowed to infinity; the bound is "
+                  "still valid but vacuous", RuntimeWarning, stacklevel=4)
+    return math.inf
+
+
 def _exp(x: float) -> float:
-    """exp with overflow mapped to +inf (bound stays valid, just vacuous)."""
+    """exp with overflow mapped to +inf."""
     try:
         return math.exp(x)
     except OverflowError:
-        warnings.warn("bound constant overflowed to infinity; the bound is "
-                      "still valid but vacuous", RuntimeWarning, stacklevel=3)
-        return math.inf
+        return _overflowed()
 
 
 def moment_constant(r: float) -> float:
     """Absolute moment E|Z|^r of a standard normal: 2^{r/2} Gamma((r+1)/2) / sqrt(pi).
 
     For a univariate Gaussian with standard deviation rho, the r-th absolute
-    central moment equals moment_constant(r) * rho^r exactly.
+    central moment equals moment_constant(r) * rho^r exactly. A value that
+    overflows is +inf, with a warning.
     """
-    _checks.at_least(r, "r")
-    return 2.0 ** (0.5 * r) * float(_gamma(0.5 * (r + 1.0))) / math.sqrt(math.pi)
+    r = float(_checks.at_least(r, "r"))
+    try:
+        value = 2.0 ** (0.5 * r) * math.gamma(0.5 * (r + 1.0)) / math.sqrt(math.pi)
+    except OverflowError:
+        return _overflowed()
+    return value if value < math.inf else _overflowed()
 
 
 def gaussian_delta_bound(sigma0: np.ndarray, r: float) -> float:

@@ -11,13 +11,14 @@ with J and S the drift gradient and diffusion evaluated along the reference
 trajectory. Its solution splits as Pi(t) = DF Var(x) DF^T + eps^2 P1(t),
 with P1 the unit-noise covariance (eps = 1, P1(0) = 0); the integrators
 compute only P1 and, when needed, DF. Both take a block of independent
-nodes: the adaptive one is a Dormand-Prince 5(4) loop that steps every
-node still running together, each under its own copy of scipy RK45's
-step controller, and the fixed-step one advances the whole block. P1 is
-also available in quadrature form as DF (int L L^T dtau) DF^T with
-L(tau) = DF(tau)^{-1} S(tau) at the Gauss nodes of one flow solve, an
-independent discretisation used for cross-checking; the ODE route never
-needs the gradient inverse and is the production path.
+nodes: the adaptive one is the flow module's Dormand-Prince 5(4) loop,
+which steps every node still running together, each under its own copy
+of scipy RK45's step controller, and the fixed-step one advances the
+whole block. P1 is also available in quadrature form as
+DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau) at the Gauss
+nodes of one flow solve, an independent discretisation used for
+cross-checking; the ODE route never needs the gradient inverse and is the
+production path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from . import _checks
 from .artifacts import read_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import DEFAULT_TOL, _flow_rate, _variational_rate, solve_flow
+from .flow import (DEFAULT_TOL, _dormand_prince, _flow_rate,
+                   _variational_rate, solve_flow)
 
 #: condition number of the flow gradient above which the quadrature
 #: cross-check treats it as numerically singular
@@ -217,88 +219,6 @@ def _propagate(model, x0, t, method, tol, dt, need_gradient):
     return _propagate_fixed_step(model, x0, t, dt, need_gradient)
 
 
-#: Dormand-Prince 5(4) tableau of scipy's RK45 (Dormand & Prince 1980):
-#: stage times and coefficients, fifth-order weights, and the weights of
-#: the error estimate over the seven stages (the last is the rate at the
-#: step end, which starts the next step)
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-         -22 / 525, 1 / 40)
-
-
-def _combine(weights, stages):
-    """sum_j w_j K_j as one product and sum per stage, so that every row is
-    formed alone, whatever the other rows of the block."""
-    acc = None
-    for w, k in zip(weights, stages):
-        if w:
-            acc = w * k if acc is None else acc + w * k
-    return acc
-
-
-def _rms(x):
-    """Root mean square of each row, as scipy's RK45 norms a state."""
-    return np.sqrt((x * x).sum(axis=-1)) / x.shape[-1] ** 0.5
-
-
-def _dormand_prince(rate, z, t, rtol, atol):
-    """Rows of ``z`` (k, d) carried from 0 to t by ``rate(s, z)``, each under
-    its own copy of scipy RK45's step controller; a row whose error norm
-    goes non-finite, or whose step falls below 10 ulp of its time, ends as
-    NaN. Every stage is one ``rate`` call on the rows still running, and
-    the working arrays shrink when a row ends."""
-    out = np.full(z.shape, np.nan)
-    live = np.arange(len(z))
-    s = np.zeros(len(z))
-    f = rate(s, z)
-    # select_initial_step of Hairer-Norsett-Wanner I, section II.4
-    scale = atol + np.abs(z) * rtol
-    d0, d1 = _rms(z / scale), _rms(f / scale)
-    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6,
-                             0.01 * d0 / d1), t)
-    d2 = _rms((rate(h0, z + h0[:, None] * f) - f) / scale) / h0
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** 0.2)
-    h = np.minimum(np.minimum(100 * h0, h1), t)
-    # growth cap of the next accepted step: 10, or 1 after a rejection
-    cap = np.full(len(z), 10.0)
-    while live.size:
-        # a retried step is never below the minimum, or its row has ended
-        min_step = 10 * (np.nextafter(s, np.inf) - s)
-        s_new = np.minimum(s + np.maximum(h, min_step), t)
-        h = s_new - s
-        dt = h[:, None]
-        stages = [f]
-        for times, a in zip(_DP_C[:, None] * h + s, _DP_A):
-            stages.append(rate(times, z + _combine(a, stages) * dt))
-        z_new = z + dt * _combine(_DP_B, stages)
-        stages.append(rate(s + h, z_new))
-        scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
-        norm = _rms(_combine(_DP_E, stages) * dt / scale)
-        ok = norm < 1
-        # 0.9 norm^(-1/5) exceeds 0.9 on acceptance and is at most 0.9 on
-        # rejection, so one clip applies both of scipy's limits
-        h = h * np.minimum(np.maximum(0.9 * norm ** -0.2, 0.2), cap)
-        if np.count_nonzero(ok) == len(ok):
-            s, z, f = s_new, z_new, stages[-1]
-        else:
-            s, z = np.where(ok, s_new, s), np.where(ok[:, None], z_new, z)
-            f = np.where(ok[:, None], stages[-1], f)
-        cap = np.where(ok, 10.0, 1.0)
-        ended = np.where(ok, s_new >= t, ~(h >= min_step) | (norm == np.inf))
-        if np.count_nonzero(ended):
-            done = ended & ok
-            out[live[done]] = z[done]
-            keep = ~ended
-            live, s, z, f, h, cap = (live[keep], s[keep], z[keep], f[keep],
-                                     h[keep], cap[keep])
-    return out
-
-
 def _covariance_rate(model, n, need_gradient):
     """Rate ``rate(s, z)`` of the augmented rows z (k, n + [n * n] + n * n):
     state, DF row-major when ``need_gradient``, and the unit-noise
@@ -326,20 +246,16 @@ def _covariance_rate(model, n, need_gradient):
 def _propagate_rk45(model, x0, t, tol, need_gradient):
     """States, DF (or None) and unit-noise covariances at t of the nodes of
     ``x0`` (..., n), stepped together by one Dormand-Prince 5(4) loop with
-    scipy RK45's controller per node (relative tolerance ``tol``, at least
-    100 machine epsilons as in scipy, absolute ``tol / 100``); a node that
-    fails ends as NaN rows."""
+    scipy RK45's controller per node (:func:`flow._dormand_prince`); a
+    node that fails ends as NaN rows."""
     n = x0.shape[-1]
     ng = n * n if need_gradient else 0
     nodes = x0.reshape(-1, n)
     tail = np.concatenate([np.eye(n).ravel()[:ng], np.zeros(n * n)])
     z = np.concatenate([nodes, np.broadcast_to(tail, (len(nodes), len(tail)))],
                        axis=1)
-    if t > 0.0 and len(z):
-        with np.errstate(all="ignore"):
-            z = _dormand_prince(_covariance_rate(model, n, need_gradient), z,
-                                t, max(tol, 100 * np.finfo(float).eps),
-                                tol * 1e-2)
+    z = _dormand_prince(_covariance_rate(model, n, need_gradient), z,
+                        np.array([t]), tol)[0][:, 0]
     z = z.reshape(x0.shape[:-1] + z.shape[-1:])
     cov = z[..., n + ng:].reshape(x0.shape[:-1] + (n, n))
     grad = z[..., n:n + ng].reshape(cov.shape) if need_gradient else None

@@ -44,6 +44,24 @@ class TestMomentConstant:
                 / math.sqrt(2 * math.pi), -12, 12)
             assert moment_constant(r) == pytest.approx(oracle, rel=1e-9)
 
+    def test_matches_scipy_gamma_up_to_overflow(self):
+        # math.gamma against scipy's, on the orders where the value is
+        # finite; where it overflows, both read +inf
+        for r in np.linspace(1.0, 340.0, 5079).tolist():
+            want = 2.0 ** (0.5 * r) * float(gamma(0.5 * (r + 1.0))) \
+                / math.sqrt(math.pi)
+            if math.isfinite(want):
+                assert moment_constant(r) == pytest.approx(want, rel=2e-15)
+            else:
+                with pytest.warns(RuntimeWarning, match="vacuous"):
+                    assert moment_constant(r) == math.inf
+
+    @pytest.mark.parametrize("r", [400.0, 3000.0])
+    def test_overflow_is_infinite(self, r):
+        # math.gamma raises past 171.6 and 2.0 ** (r / 2) past r = 2048
+        with pytest.warns(RuntimeWarning, match="vacuous"):
+            assert moment_constant(r) == math.inf
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment_constant(-0.5)

@@ -3,7 +3,10 @@ library entry point; and no hand-written copy of a rule outside them."""
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,16 +225,29 @@ def test_no_csv_is_parsed_outside_the_artifacts_module(module):
     assert not found, f"{module}: read tables with linsde.artifacts at {found}"
 
 
-def test_scipy_is_used_for_one_solver_and_one_special_function():
-    # the whole scipy surface of the library, to be replaced by an
-    # in-house integrator and math.gamma
+def test_no_module_of_the_library_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves tests and the bench
     used = set()
-    for module in MODULES:
-        for node in ast.walk(_tree(module)):
-            if isinstance(node, ast.ImportFrom) and node.module \
-                    and node.module.split(".")[0] == "scipy":
-                used |= {f"{node.module}.{a.name}" for a in node.names}
+    for path in Path(linsde.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
             elif isinstance(node, ast.Import):
-                used |= {a.name for a in node.names
-                         if a.name.split(".")[0] == "scipy"}
-    assert used <= {"scipy.integrate.solve_ivp", "scipy.special.gamma"}, used
+                names = [a.name for a in node.names]
+            else:
+                continue
+            used |= {f"{path.name}: {name}" for name in names
+                     if name.split(".")[0] == "scipy"}
+    assert not used, used
+
+
+def test_the_command_line_loads_no_scipy():
+    # a cold start pays for numpy alone
+    code = ("import sys, linsde.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(linsde.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]", run.stdout

@@ -464,6 +464,22 @@ def test_bad_input_exits_2_before_numerical_work(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("r", [400, 3000])
+def test_overflowing_moment_constant_is_a_delta_error(tmp_path, monkeypatch,
+                                                      capsys, r):
+    # the Gaussian moment constant is +inf at these orders and rho^r
+    # underflows to 0, so delta_r reads NaN; at r = 3000 the constant used
+    # to escape as a bare OverflowError
+    _stub_numerical_work(monkeypatch)
+    cfg = _probe_base(tmp_path, "bound")
+    cfg["bound"] = {"r": r, "t": 1.0, "epsilon": 0.05, "rho": 0.01,
+                    "constants": "estimate"}
+    with pytest.warns(RuntimeWarning, match="vacuous"):
+        assert main([write_config(tmp_path, cfg)]) == 2
+    assert "delta_r must be finite and non-negative, got nan" \
+        in capsys.readouterr().err
+
+
 def test_failed_allocation_exits_3(tmp_path, capsys):
     # 10**15 samples need about 7 PiB: the allocation fails at once on any
     # machine

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,7 +147,9 @@ def test_dense_path_consistent_with_endpoints(jet):
 
 @pytest.mark.parametrize("with_gradient", [False, True])
 def test_flow_is_the_dense_solve_read_at_the_times(jet, with_gradient):
-    # one RK45 solve to the last time, read by its own dense output
+    # one RK45 solve to the last time, read by its own dense output: the
+    # in-house integrator takes scipy's steps and reads the same
+    # interpolant, so only the rounding of the reads differs
     x0 = np.array([0.3, 1.1])
     tgrid = np.linspace(0.0, 1.5, 301)
     z0 = np.concatenate([x0, np.eye(2).ravel()]) if with_gradient else x0
@@ -154,32 +157,61 @@ def test_flow_is_the_dense_solve_read_at_the_times(jet, with_gradient):
                     method="RK45", rtol=1e-8, atol=1e-10, dense_output=True)
     want = sol.sol(tgrid).T
     states, grads = solve_flow(jet, x0, tgrid, with_gradient=with_gradient)
-    np.testing.assert_array_equal(states, want[:, :2])
     if with_gradient:
-        np.testing.assert_array_equal(grads, want[:, 2:].reshape(-1, 2, 2))
+        got = np.concatenate([states, grads.reshape(301, 4)], axis=1)
     else:
+        got = states
         assert grads is None
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
     # a scalar time and an unsorted grid of any shape read the same solve
     np.testing.assert_array_equal(
-        solve_flow(jet, x0, 1.5, with_gradient=with_gradient)[0],
-        sol.sol(1.5)[:2])
+        solve_flow(jet, x0, 1.5, with_gradient=with_gradient)[0], states[-1])
     shuffled = tgrid[::-1].reshape(7, 43)
     np.testing.assert_array_equal(
         solve_flow(jet, x0, shuffled, with_gradient=with_gradient)[0],
-        sol.sol(shuffled.ravel()).T[:, :2].reshape(7, 43, 2))
+        states[::-1].reshape(7, 43, 2))
+
+
+def test_flow_memory_does_not_grow_with_the_horizon(jet):
+    # each step's interpolant is read at the times inside it and dropped,
+    # so a solve keeps no solution
+    def peak(t):
+        solve_flow(jet, [0.3, 1.1], 0.1)  # warm caches before tracing
+        tracemalloc.start()
+        try:
+            solve_flow(jet, [0.3, 1.1], t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(10.0) <= 1.25 * peak(1.0)
+
+
+def cubic_model(sine, drift=lambda x, t: np.asarray(x, dtype=float) ** 3):
+    return VectorFieldModel(
+        name="cubic", dim_state=1, dim_noise=1, drift=drift,
+        drift_gradient=lambda x, t: 3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
+        diffusion=sine.diffusion, constants=sine.constants)
 
 
 def test_integration_failure_reports_last_time(sine):
-    explosive = VectorFieldModel(
-        name="cubic", dim_state=1, dim_noise=1,
-        drift=lambda x, t: np.asarray(x, dtype=float) ** 3,
-        drift_gradient=lambda x, t: 3.0 * np.asarray(x, dtype=float)[..., None] ** 2,
-        diffusion=sine.diffusion, constants=sine.constants)
-    # dy/dt = y^3 from 1 blows up at t = 0.5
-    with pytest.raises(IntegrationFailure) as err:
-        flow_state(explosive, [1.0], 2.0)
+    # dy/dt = y^3 from 1 blows up at t = 0.5, where the step shrinks to
+    # nothing
+    with pytest.raises(IntegrationFailure, match="10 ulp") as err:
+        flow_state(cubic_model(sine), [1.0], 2.0)
     assert err.value.last_time is not None
     assert err.value.last_time <= 0.55
+
+
+@pytest.mark.parametrize("with_gradient", [False, True])
+def test_integration_failure_when_the_drift_goes_nan(sine, with_gradient):
+    # the drift is NaN from t = 0.7 on: the solve stops at the last step
+    # it accepted before then, with a non-finite error norm as its reason
+    model = cubic_model(sine, drift=lambda x, t: np.where(
+        np.asarray(t)[..., None] < 0.7, -np.asarray(x, dtype=float), np.nan))
+    with pytest.raises(IntegrationFailure, match="non-finite") as err:
+        solve_flow(model, [1.0], [0.5, 2.0], with_gradient=with_gradient)
+    assert 0.5 <= err.value.last_time < 0.7
 
 
 def test_backward_time_rejected(sine):
@@ -190,7 +222,7 @@ def test_backward_time_rejected(sine):
 @pytest.mark.parametrize("times", [[0.5, -1e-3], [[1.0], [-2.0]],
                                    [0.5, math.nan], [True], ["1.0"]])
 def test_bad_time_grid_rejected_before_solve(monkeypatch, sine, times):
-    monkeypatch.setattr(flow, "solve_ivp", None)
+    monkeypatch.setattr(flow, "_dormand_prince", None)
     with pytest.raises(ValueError, match="times"):
         solve_flow(sine, [0.5], times)
 
@@ -200,13 +232,13 @@ def test_bad_time_grid_rejected_before_solve(monkeypatch, sine, times):
 def test_nonfinite_horizon_or_tolerance_rejected_before_solve(
         monkeypatch, ou, t, tol):
     # NaN passes both t < 0 and tol <= 0, and the solver never returned
-    monkeypatch.setattr(flow, "solve_ivp", None)
+    monkeypatch.setattr(flow, "_dormand_prince", None)
     with pytest.raises(ValueError):
         solve_flow(ou, [0.5], t, tol=tol)
 
 
 @pytest.mark.parametrize("x0", [[math.nan], [math.inf], [0.5, 0.5]])
 def test_bad_point_rejected_before_solve(monkeypatch, ou, x0):
-    monkeypatch.setattr(flow, "solve_ivp", None)
+    monkeypatch.setattr(flow, "_dormand_prince", None)
     with pytest.raises(ValueError, match="x0"):
         solve_flow(ou, x0, 1.0)

@@ -3,9 +3,9 @@
 The README configurations run at reduced size through ``cli.main``, each
 into a fixed relative output directory, and every data artifact (all but
 ``provenance.txt``) is hashed. The test fails on any byte that differs from
-``tests/golden.json`` and names each changed artifact, together with any
-numpy or scipy version that differs from the one the manifest was made
-with. A change that moves values on purpose regenerates the manifest with
+``tests/golden.json`` and names each changed artifact, together with a
+numpy version that differs from the one the manifest was made with. A
+change that moves values on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from linsde.cli import main
 
@@ -62,7 +61,7 @@ CONFIGS = {
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def digests(root: Path) -> dict:
