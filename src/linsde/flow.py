@@ -195,7 +195,7 @@ def solve_flow(model, x0, times, tol: float = DEFAULT_TOL,
     z0 = np.concatenate([x0, np.eye(n).ravel()]) if with_gradient else x0
     # the distinct times in order, with 0 among them so that an empty
     # array needs no case of its own
-    grid, where = np.unique(np.append(times, 0.0), return_inverse=True)
+    grid, inverse = np.unique(np.append(times, 0.0), return_inverse=True)
     out, reached, stalled = _dormand_prince(
         _flow_rate(model, with_gradient), z0[None], grid, tol)
     if reached[0] < grid[-1] or not np.isfinite(out).all():
@@ -204,7 +204,7 @@ def solve_flow(model, x0, times, tol: float = DEFAULT_TOL,
         raise IntegrationFailure(
             f"flow integration failed for model {model.name!r} at "
             f"t={reached[0]:.6g}: {why}", last_time=float(reached[0]))
-    z = out[0, where[:-1]].reshape(times.shape + z0.shape)
+    z = out[0, inverse[:-1]].reshape(times.shape + z0.shape)
     if not with_gradient:
         return z, None
     return z[..., :n], z[..., n:].reshape(times.shape + (n, n))
