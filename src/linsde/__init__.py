@@ -20,8 +20,8 @@ from .linearise import (GaussianState, InitialCondition,
                         covariance_by_quadrature, linearised_distribution)
 from .models import (MODEL_NAMES, MeanderingJetParams, VectorFieldModel,
                      builtin_model)
-from .sampling import (SamplePairBatch, SimulationConfig, draw_initial,
-                       read_batch, sample_coupled)
+from .sampling import (SamplePairBatch, SimulationConfig, read_batch,
+                       sample_coupled)
 from .scaling import (BASES, ScalingFit, SweepResult, bootstrap_coefficients,
                       fit_scaling, read_sweep, rho_curvature_interval,
                       run_sweep, strong_error)
@@ -40,7 +40,7 @@ __all__ = [
     "ScalingFit", "SimulationConfig", "SingularGradientError", "SweepResult",
     "UnknownModelError", "VectorFieldModel", "bound_rhs", "builtin_model",
     "bootstrap_coefficients", "covariance_by_quadrature",
-    "default_bdg_constant", "draw_initial", "estimate_constants",
+    "default_bdg_constant", "estimate_constants",
     "extract_robust_set", "fit_scaling", "gaussian_delta_bound",
     "lemma_constants", "linearised_distribution", "moment_constant",
     "read_batch", "read_field", "read_sweep", "rho_curvature_interval",

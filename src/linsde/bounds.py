@@ -268,6 +268,9 @@ def estimate_constants(model, domain=None, samples_per_axis: int = 33,
     _checks.integer(n_probe, "n_probe", 0)
     _checks.positive(fd_step, "fd_step")
     times = [_checks.at_least(t, f"times[{i}]") for i, t in enumerate(times)]
+    if not times:
+        # no time sampled would give zero constants: a bound of 0
+        raise ValueError("times must hold at least one time")
     if domain is None:
         domain = model.domain
     if domain is None:

@@ -6,8 +6,10 @@ with respect to the initial condition solves the variational matrix equation
 d(DF)/dt = grad_u(F(t), t) DF from DF(0) = I. State and gradient are
 integrated jointly as one augmented system by :func:`solve_flow`, which
 reads each step's interpolant at the caller's times and keeps no solution
-(default relative tolerance 1e-8, absolute 1e-10); finite differencing of
-the flow is reserved for tests.
+(default relative tolerance 1e-8, absolute 1e-10). It is the package's one
+variational solve: the covariance kernels of the linearise module carry
+the state and the unit-noise covariance alone, and a law that needs DF
+takes it from here. Finite differencing of the flow is reserved for tests.
 
 The integrator, :func:`_dormand_prince`, is the Dormand-Prince 5(4) pair
 with Shampine's quartic dense output (Shampine 1986, "Some practical
@@ -159,22 +161,14 @@ def _flow_rate(model, with_gradient: bool):
     n = model.dim_state
 
     def rate(t, z):
-        x = z[..., :n]
-        return _variational_rate(z, model.drift(x, t),
-                                 model.drift_gradient(x, t))
+        x, lead = z[..., :n], z.shape[:-1]
+        out = np.empty_like(z)
+        out[..., :n] = model.drift(x, t)
+        out[..., n:] = (model.drift_gradient(x, t)
+                        @ z[..., n:].reshape(lead + (n, n))).reshape(
+            lead + (n * n,))
+        return out
     return rate
-
-
-def _variational_rate(z, drift, jac):
-    """Rate of the flow and its variational equation at z (..., n + n * n)
-    from the drift and the drift gradient at its state."""
-    n = jac.shape[-1]
-    lead = z.shape[:-1]
-    out = np.empty_like(z)
-    out[..., n:] = (jac @ z[..., n:].reshape(lead + (n, n))).reshape(
-        lead + (n * n,))
-    out[..., :n] = drift
-    return out
 
 
 def solve_flow(model, x0, times, tol: float = DEFAULT_TOL,

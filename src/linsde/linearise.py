@@ -9,12 +9,14 @@ solves the Lyapunov-type matrix ODE
 
 with J and S the drift gradient and diffusion evaluated along the reference
 trajectory. Its solution splits as Pi(t) = DF Var(x) DF^T + eps^2 P1(t),
-with P1 the unit-noise covariance (eps = 1, P1(0) = 0); the integrators
-compute only P1 and, when needed, DF. Both take a block of independent
-nodes: the adaptive one is the flow module's Dormand-Prince 5(4) loop,
-which steps every node still running together, each under its own copy
-of scipy RK45's step controller, and the fixed-step one advances the
-whole block. P1 is also available in quadrature form as
+with P1 the unit-noise covariance (eps = 1, P1(0) = 0); the covariance
+integrators compute only the state and P1, and DF, when a Gaussian or
+offset start needs it, comes from :func:`flow.solve_flow`, the one
+variational solve. Both integrators take a block of independent nodes:
+the adaptive one is the flow module's Dormand-Prince 5(4) loop, which
+steps every node still running together, each under its own copy of
+scipy RK45's step controller, and the fixed-step one advances the whole
+block. P1 is also available in quadrature form as
 DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau) at the Gauss
 nodes of one flow solve, an independent discretisation used for
 cross-checking; the ODE route never needs the gradient inverse and is the
@@ -32,8 +34,7 @@ from . import _checks
 from .artifacts import read_record
 from .exceptions import (CovarianceError, IntegrationFailure,
                          SingularGradientError)
-from .flow import (DEFAULT_TOL, _dormand_prince, _flow_rate,
-                   _variational_rate, solve_flow)
+from .flow import DEFAULT_TOL, _dormand_prince, solve_flow
 
 #: condition number of the flow gradient above which the quadrature
 #: cross-check treats it as numerically singular
@@ -166,15 +167,17 @@ def linearised_distribution(model, init: InitialCondition, t: float,
         Pi(t) = DF(t) Sigma0 DF(t)^T + eps^2 P1(t),
 
     where P1, the unit-noise covariance, solves the covariance ODE with
-    eps = 1 from P1(0) = 0. Only P1, the reference state and (when Sigma0
-    is non-zero or the mean is offset) the flow gradient DF are
-    integrated, so one solve serves every noise scale.
+    eps = 1 from P1(0) = 0. The covariance kernel integrates only the
+    reference state and P1, so one solve serves every noise scale; when
+    Sigma0 is non-zero or the mean is offset, DF comes from one
+    :func:`solve_flow` to tolerance ``tol``, for either method.
 
     ``method`` selects the kernel of :func:`_propagate`, the one s2 fields
     use: "rk45" (default, adaptive embedded Runge-Kutta on the augmented
-    system to tolerance ``tol``) or "mazzoni" (fixed steps of ``dt`` and no
-    use of ``tol``; its congruence keeps P1 symmetric PSD). A non-finite
-    result raises IntegrationFailure.
+    system to tolerance ``tol``) or "mazzoni" (fixed steps of ``dt``; its
+    congruence keeps P1 symmetric PSD, and it reads ``tol`` only for DF).
+    A non-finite kernel result raises IntegrationFailure before DF is
+    solved.
     """
     init.validate()
     if init.dim != model.dim_state:
@@ -194,72 +197,60 @@ def linearised_distribution(model, init: InitialCondition, t: float,
         mean = x0.copy() if offset is None else x0 + offset
         return GaussianState(mean, sigma0, 0.0, epsilon).validate()
 
-    need_gradient = offset is not None or bool(np.any(sigma0))
-    state, grad, unit = _propagate(model, x0, t, method, tol, dt,
-                                   need_gradient)
-    if not (np.isfinite(state).all() and np.isfinite(unit).all()
-            and (grad is None or np.isfinite(grad).all())):
+    state, unit = _propagate(model, x0, t, method, tol, dt)
+    if not (np.isfinite(state).all() and np.isfinite(unit).all()):
         raise IntegrationFailure(
             f"{method} covariance integration for model {model.name!r} "
             f"became non-finite before t={t:.6g}")
 
-    mean = state if offset is None else state + grad @ offset
-    cov = epsilon ** 2 * unit
-    if need_gradient:
+    mean, cov = state, epsilon ** 2 * unit
+    if offset is not None or np.any(sigma0):
+        grad = solve_flow(model, x0, t, tol)[1]
+        if offset is not None:
+            mean = state + grad @ offset
         cov = cov + grad @ sigma0 @ grad.T
     cov = 0.5 * (cov + cov.T)
     return GaussianState(mean, cov, float(t), float(epsilon)).validate()
 
 
-def _propagate(model, x0, t, method, tol, dt, need_gradient):
-    """States, DF (or None) and unit-noise covariances at t of independent
-    nodes ``x0`` (..., n) by ``method``; a failed node ends non-finite."""
+def _propagate(model, x0, t, method, tol, dt):
+    """States and unit-noise covariances at t of independent nodes ``x0``
+    (..., n) by ``method``; a failed node ends non-finite."""
     if method == "rk45":
-        return _propagate_rk45(model, x0, t, tol, need_gradient)
-    return _propagate_fixed_step(model, x0, t, dt, need_gradient)
+        return _propagate_rk45(model, x0, t, tol)
+    return _propagate_fixed_step(model, x0, t, dt)
 
 
-def _covariance_rate(model, n, need_gradient):
-    """Rate ``rate(s, z)`` of the augmented rows z (k, n + [n * n] + n * n):
-    state, DF row-major when ``need_gradient``, and the unit-noise
-    covariance P, symmetrised before use; one ``coefficients`` call on the
-    (k, n) states per evaluation."""
-    ng = n * n if need_gradient else 0
-
+def _covariance_rate(model, n):
+    """Rate ``rate(s, z)`` of the augmented rows z (k, n + n * n): state and
+    the unit-noise covariance P, symmetrised before use; one
+    ``coefficients`` call on the (k, n) states per evaluation."""
     def rate(s, z):
         k = len(z)
-        pi = z[:, n + ng:].reshape(k, n, n)
+        pi = z[:, n:].reshape(k, n, n)
         pi = 0.5 * (pi + pi.swapaxes(1, 2))
         drift, jac, sig = model.coefficients(z[:, :n], s)
         jp = jac @ pi
         out = np.empty_like(z)
         out[:, :n] = drift
-        if need_gradient:
-            out[:, n:n + ng] = (jac @ z[:, n:n + ng].reshape(k, n, n)
-                                ).reshape(k, ng)
-        out[:, n + ng:] = (jp + jp.swapaxes(1, 2)
-                           + sig @ sig.swapaxes(1, 2)).reshape(k, n * n)
+        out[:, n:] = (jp + jp.swapaxes(1, 2)
+                      + sig @ sig.swapaxes(1, 2)).reshape(k, n * n)
         return out
     return rate
 
 
-def _propagate_rk45(model, x0, t, tol, need_gradient):
-    """States, DF (or None) and unit-noise covariances at t of the nodes of
-    ``x0`` (..., n), stepped together by one Dormand-Prince 5(4) loop with
-    scipy RK45's controller per node (:func:`flow._dormand_prince`); a
-    node that fails ends as NaN rows."""
+def _propagate_rk45(model, x0, t, tol):
+    """States and unit-noise covariances at t of the nodes of ``x0``
+    (..., n), stepped together by one Dormand-Prince 5(4) loop with scipy
+    RK45's controller per node (:func:`flow._dormand_prince`); a node that
+    fails ends as NaN rows."""
     n = x0.shape[-1]
-    ng = n * n if need_gradient else 0
     nodes = x0.reshape(-1, n)
-    tail = np.concatenate([np.eye(n).ravel()[:ng], np.zeros(n * n)])
-    z = np.concatenate([nodes, np.broadcast_to(tail, (len(nodes), len(tail)))],
-                       axis=1)
-    z = _dormand_prince(_covariance_rate(model, n, need_gradient), z,
-                        np.array([t]), tol)[0][:, 0]
+    z = np.concatenate([nodes, np.zeros((len(nodes), n * n))], axis=1)
+    z = _dormand_prince(_covariance_rate(model, n), z, np.array([t]),
+                        tol)[0][:, 0]
     z = z.reshape(x0.shape[:-1] + z.shape[-1:])
-    cov = z[..., n + ng:].reshape(x0.shape[:-1] + (n, n))
-    grad = z[..., n:n + ng].reshape(cov.shape) if need_gradient else None
-    return z[..., :n], grad, cov
+    return z[..., :n], z[..., n:].reshape(x0.shape[:-1] + (n, n))
 
 
 def _midpoint_step(jac, sig, h):
@@ -279,29 +270,27 @@ def _midpoint_step(jac, sig, h):
     return phi, 0.5 * (forcing + np.swapaxes(forcing, -1, -2))
 
 
-def _propagate_fixed_step(model, x0, t, dt, need_gradient):
-    """States, DF (or None) and unit-noise covariances at t by fixed steps.
+def _propagate_fixed_step(model, x0, t, dt):
+    """States and unit-noise covariances at t by fixed steps.
 
     ``x0`` has shape (..., n), one independent node per leading index. Two
-    classical RK4 half steps per step h = t / round(t / dt) carry the state
-    (and DF, by the variational equation), so the step midpoint falls on
-    the state grid for the congruence of :func:`_midpoint_step`. A node
-    that blows up ends non-finite without affecting the others.
+    classical RK4 half steps per step h = t / round(t / dt) carry the
+    state, so the step midpoint falls on the state grid for the congruence
+    of :func:`_midpoint_step`. A node that blows up ends non-finite without
+    affecting the others.
     """
     n = x0.shape[-1]
     steps = max(1, round(t / dt))
     h = t / steps
-    rate = _flow_rate(model, need_gradient)
-    eye = np.broadcast_to(np.eye(n).ravel(), x0.shape[:-1] + (n * n,))
-    z = np.concatenate([x0, eye], axis=-1) if need_gradient else x0
+    z = x0
     cov = np.zeros(x0.shape[:-1] + (n, n))
 
     def rk4(zc, tc, hc, k1=None):
         if k1 is None:
-            k1 = rate(tc, zc)
-        k2 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k1)
-        k3 = rate(tc + 0.5 * hc, zc + 0.5 * hc * k2)
-        k4 = rate(tc + hc, zc + hc * k3)
+            k1 = model.drift(zc, tc)
+        k2 = model.drift(zc + 0.5 * hc * k1, tc + 0.5 * hc)
+        k3 = model.drift(zc + 0.5 * hc * k2, tc + 0.5 * hc)
+        k4 = model.drift(zc + hc * k3, tc + hc)
         return zc + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,17 +299,13 @@ def _propagate_fixed_step(model, x0, t, dt, need_gradient):
             z_mid = rk4(z, tk, 0.5 * h)
             # the midpoint coefficients also give the second half step's
             # first stage
-            drift, jac, sig = model.coefficients(z_mid[..., :n],
-                                                 tk + 0.5 * h)
-            z = rk4(z_mid, tk + 0.5 * h, 0.5 * h,
-                    _variational_rate(z_mid, drift, jac)
-                    if need_gradient else drift)
+            drift, jac, sig = model.coefficients(z_mid, tk + 0.5 * h)
+            z = rk4(z_mid, tk + 0.5 * h, 0.5 * h, drift)
             phi, forcing = _midpoint_step(jac, sig, h)
             cov = phi @ cov @ np.swapaxes(phi, -1, -2) + forcing
     # mirror the lower triangle (eigvalsh's) so points and fields agree
     cov = np.tril(cov) + np.swapaxes(np.tril(cov, -1), -1, -2)
-    grad = z[..., n:].reshape(cov.shape) if need_gradient else None
-    return z[..., :n], grad, cov
+    return z, cov
 
 
 def covariance_by_quadrature(model, x0, t: float, quad_points: Optional[int] = None,

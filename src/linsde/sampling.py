@@ -210,14 +210,6 @@ def _draw(init: InitialCondition, factor: Optional[np.ndarray], seed: int,
     return x_init, rngs
 
 
-def draw_initial(init: InitialCondition, n_samples: int, seed: int) -> np.ndarray:
-    """Draw initial states, one counter-based stream per sample index."""
-    factor = _initial_factor(init)
-    if factor is None:
-        return np.tile(init.mean, (n_samples, 1))
-    return _draw(init, factor, seed, 0, n_samples)[0]
-
-
 class Cell(NamedTuple):
     """One batch of a multi-cell run: its initial law, noise scale, seed and
     sample count. A non-empty ``label`` prefixes the cell's own errors."""

@@ -31,7 +31,7 @@ from .flow import DEFAULT_TOL
 from .linearise import (METHODS, InitialCondition, _propagate,
                         linearised_distribution)
 from .models import builtin_model
-from .sampling import SimulationConfig, sample_coupled
+from .sampling import Cell, SimulationConfig, sample_cells
 
 __all__ = ["s2_point", "GridSpec", "S2Field", "check_field", "s2_field",
            "s2_empirical_limit", "RobustSet", "extract_robust_set",
@@ -135,7 +135,7 @@ def _field_chunk(model, nodes, t, method, tol, dt):
     The whole block goes through :func:`linearise._propagate`, whose nodes
     are independent, so a node's value does not depend on the block.
     """
-    _, _, cov = _propagate(model, nodes, t, method, tol, dt, False)
+    _, cov = _propagate(model, nodes, t, method, tol, dt)
     out = np.full(len(nodes), np.nan)
     finite = np.all(np.isfinite(cov), axis=(-2, -1))
     if np.any(finite):
@@ -223,16 +223,21 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
     sampler from the fixed initial condition, forms their sample covariance,
     and rescales its top eigenvalue by the squared noise scale. The
     sequence approaches :func:`s2_point` as the scale decreases, up to
-    Monte-Carlo error.
+    Monte-Carlo error. The scales are one cell each, with ``config``'s seed
+    and sample count, of one :func:`sampling.sample_cells` run, so the
+    reference flow is solved once; each cell's batch is the one
+    :func:`sampling.sample_coupled` gives for its scale alone.
     """
     for i, eps in enumerate(epsilons):
         _checks.positive(eps, f"epsilons[{i}]")
     init = InitialCondition.fixed(x0)
+    cells = [Cell(init, eps, config.seed, config.n_samples)
+             for eps in epsilons]
     out = []
-    for eps in epsilons:
-        y = sample_coupled(model, init, eps, t, config).y_samples
-        cov = np.cov(y, rowvar=False).reshape(model.dim_state,
-                                              model.dim_state)
+    for eps, batch in zip(epsilons, sample_cells(model, cells, t, config)
+                          if cells else []):
+        cov = np.cov(batch.y_samples, rowvar=False).reshape(
+            model.dim_state, model.dim_state)
         out.append(float(np.linalg.eigvalsh(cov)[-1] / eps ** 2))
     return out
 

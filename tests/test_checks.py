@@ -60,6 +60,8 @@ BAD_ARGUMENTS = [
      "n_jitter", -3),
     ("estimate_constants", lambda v: estimate_constants(OU, times=v),
      "times[0]", (nan,)),
+    ("estimate_constants", lambda v: estimate_constants(OU, times=v),
+     "times", ()),
     ("InitialCondition.gaussian.validate",
      lambda v: InitialCondition.gaussian(v, rho=0.1).validate(), "mean",
      [nan]),
@@ -239,6 +241,24 @@ def test_no_module_of_the_library_imports_scipy():
             used |= {f"{path.name}: {name}" for name in names
                      if name.split(".")[0] == "scipy"}
     assert not used, used
+
+
+def _identifiers(module) -> set:
+    """Every name that a module reads or binds: variables, attributes,
+    imports, definitions, arguments and keywords."""
+    return {value for node in ast.walk(_tree(module))
+            for field in ("id", "attr", "name", "arg")
+            if isinstance(value := getattr(node, field, None), str)}
+
+
+@pytest.mark.parametrize("module", MODULES + ["_checks.py"])
+def test_the_flow_gradient_is_integrated_in_the_flow_module_alone(module):
+    # solve_flow is the one variational solve: no other module reaches the
+    # flow's rate, and no covariance kernel carries a gradient mode
+    names = _identifiers(module)
+    found = sorted(names & ({"need_gradient"} if module == "flow.py"
+                            else {"_flow_rate", "need_gradient"}))
+    assert not found, f"{module}: take DF from flow.solve_flow, not {found}"
 
 
 def test_the_command_line_loads_no_scipy():

@@ -172,16 +172,6 @@ class TestFixedStepPointPath:
                         / np.linalg.norm(ref))
         assert worst < 5e-5
 
-    def test_gaussian_law_needs_no_adaptive_solve(self, monkeypatch, jet):
-        monkeypatch.setattr(linearise, "solve_flow", None)
-        monkeypatch.setattr(linearise, "_dormand_prince", None)
-        init = InitialCondition.gaussian([0.35, 1.05], rho=0.1,
-                                         reference_point=[0.3, 1.1])
-        law = linearised_distribution(jet, init, 1.0, 0.05, method="mazzoni",
-                                      dt=1e-2)
-        assert np.all(np.isfinite(law.mean))
-        assert np.linalg.eigvalsh(law.covariance)[0] > 0.0
-
     @pytest.mark.parametrize("sigma_init", [None, [[0.01]]])
     def test_blow_up_raises(self, monkeypatch, sine, sigma_init):
         # dy/dt = y^3 from 1 blows up at t = 0.5; the failure is found by
@@ -203,20 +193,50 @@ def test_adaptive_blow_up_raises(sine, sigma_init):
                                 0.25, 1.0)
 
 
-@pytest.mark.parametrize("need_gradient", [False, True])
 @pytest.mark.parametrize("method", linearise.METHODS)
-def test_propagate_stack_equals_per_node_calls(jet, method, need_gradient):
+@pytest.mark.parametrize("init, solves", [
+    (InitialCondition.fixed([0.3, 1.1]), 0),
+    (InitialCondition.gaussian([0.3, 1.1], rho=0.1), 1),
+    (InitialCondition.gaussian([0.35, 1.05], rho=0.0,
+                               reference_point=[0.3, 1.1]), 1),
+    (InitialCondition.gaussian([0.35, 1.05], rho=0.1,
+                               reference_point=[0.3, 1.1]), 1)],
+    ids=["fixed", "gaussian", "offset", "gaussian-offset"])
+def test_flow_gradient_comes_from_one_solve_flow(monkeypatch, jet, method,
+                                                 init, solves):
+    # the kernel carries the state and P1 alone; a Gaussian or offset start
+    # takes DF from one solve_flow at the law's tolerance, for either method
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_flow(*args)
+    monkeypatch.setattr(linearise, "solve_flow", counted)
+    x0, t, eps, tol, dt = init.reference_point, 1.0, 0.05, 1e-7, 1e-2
+    law = linearised_distribution(jet, init, t, eps, tol=tol, method=method,
+                                  dt=dt)
+    assert len(calls) == solves
+    state, unit = linearise._propagate(jet, x0, t, method, tol, dt)
+    grad = np.zeros((2, 2))
+    if solves:
+        assert calls[0][0] is jet and calls[0][2:] == (t, tol)
+        np.testing.assert_array_equal(calls[0][1], x0)
+        grad = solve_flow(jet, x0, t, tol)[1]
+    cov = eps ** 2 * unit + grad @ init.covariance @ grad.T
+    np.testing.assert_array_equal(law.covariance, 0.5 * (cov + cov.T))
+    np.testing.assert_array_equal(law.mean,
+                                  state + grad @ (init.mean - x0))
+
+
+@pytest.mark.parametrize("method", linearise.METHODS)
+def test_propagate_stack_equals_per_node_calls(jet, method):
     nodes = np.array([[0.3, 1.1], [0.0, 1.0], [2.5, 0.4], [1.7, 2.9]])
-    stack = linearise._propagate(jet, nodes, 0.5, method, 1e-6, 1e-2,
-                                 need_gradient)
-    assert (stack[1] is None) == (not need_gradient)
+    stack = linearise._propagate(jet, nodes, 0.5, method, 1e-6, 1e-2)
     for i, x0 in enumerate(nodes):
-        single = linearise._propagate(jet, x0, 0.5, method, 1e-6, 1e-2,
-                                      need_gradient)
+        single = linearise._propagate(jet, x0, 0.5, method, 1e-6, 1e-2)
         for whole, part in zip(stack, single):
-            if part is not None:
-                assert whole.shape == (len(nodes),) + part.shape
-                np.testing.assert_array_equal(whole[i], part)
+            assert whole.shape == (len(nodes),) + part.shape
+            np.testing.assert_array_equal(whole[i], part)
 
 
 def _count_calls(monkeypatch):
@@ -248,15 +268,13 @@ def _counting_callables(model, calls):
 NODES = np.array([[0.3, 1.1], [2.5, 0.4]])
 
 
-@pytest.mark.parametrize("need_gradient", [False, True])
-def test_adaptive_kernel_makes_one_coefficients_call_per_stage(
-        monkeypatch, jet, need_gradient):
+def test_adaptive_kernel_makes_one_coefficients_call_per_stage(monkeypatch,
+                                                               jet):
     # a node's RK45 solve takes 2 + 6 * (attempted steps) RHS evaluations;
     # the block makes one coefficients call per stage, on a (k, n) batch of
     # the nodes still running, so as many calls as its slowest node takes
     # evaluations, and as many rows as all its nodes take together
-    nfev = [rk45_oracle(jet, x0, 0.5, 1e-6, need_gradient)[1]
-            for x0 in NODES]
+    nfev = [rk45_oracle(jet, x0, 0.5, 1e-6)[1] for x0 in NODES]
     rows = []
     coefficients = VectorFieldModel.coefficients
 
@@ -265,61 +283,51 @@ def test_adaptive_kernel_makes_one_coefficients_call_per_stage(
         rows.append(len(x))
         return coefficients(self, x, t)
     monkeypatch.setattr(VectorFieldModel, "coefficients", counted)
-    linearise._propagate_rk45(jet, NODES, 0.5, 1e-6, need_gradient)
+    linearise._propagate_rk45(jet, NODES, 0.5, 1e-6)
     assert (len(rows), sum(rows)) == (max(nfev), sum(nfev))
     # a lone node is a one-row batch too
     rows.clear()
-    linearise._propagate_rk45(jet, NODES[0], 0.5, 1e-6, need_gradient)
+    linearise._propagate_rk45(jet, NODES[0], 0.5, 1e-6)
     assert set(rows) == {1} and len(rows) == nfev[0]
     # without the fused evaluation each callable is called once instead
     calls = _count_calls(monkeypatch)
     linearise._propagate_rk45(_counting_callables(jet, calls), NODES, 0.5,
-                              1e-6, need_gradient)
+                              1e-6)
     k = max(nfev)
     assert calls == {"coefficients": k, "drift": k, "drift_gradient": k,
                      "diffusion": k}
 
 
-@pytest.mark.parametrize("need_gradient", [False, True])
 @pytest.mark.parametrize("name", MODEL_NAMES)
-def test_adaptive_kernel_matches_scipy_rk45_per_node(name, need_gradient):
+def test_adaptive_kernel_matches_scipy_rk45_per_node(name):
     # the kernel copies scipy RK45's controller, so each node takes scipy's
     # steps and ends within rounding of its per-node solve
     model, x0 = model_and_point(name)
     nodes = x0 + np.linspace(-0.4, 0.4, 5)[:, None]
-    got = linearise._propagate_rk45(model, nodes, 1.5, 1e-6, need_gradient)
+    got = linearise._propagate_rk45(model, nodes, 1.5, 1e-6)
     for i, node in enumerate(nodes):
-        want, _ = rk45_oracle(model, node, 1.5, 1e-6, need_gradient)
+        want, _ = rk45_oracle(model, node, 1.5, 1e-6)
         for part, ref in zip(got, want):
-            if ref is None:
-                assert part is None
-                continue
             assert np.linalg.norm(part[i] - ref) \
                 <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
 
 
-@pytest.mark.parametrize("need_gradient", [False, True])
-def test_adaptive_kernel_of_no_nodes_is_empty(jet, need_gradient):
-    state, grad, cov = linearise._propagate_rk45(jet, np.empty((0, 2)), 1.0,
-                                                 1e-6, need_gradient)
+def test_adaptive_kernel_of_no_nodes_is_empty(jet):
+    state, cov = linearise._propagate_rk45(jet, np.empty((0, 2)), 1.0, 1e-6)
     assert state.shape == (0, 2) and cov.shape == (0, 2, 2)
-    assert grad is None if not need_gradient else grad.shape == (0, 2, 2)
 
 
-@pytest.mark.parametrize("need_gradient", [False, True])
-def test_fixed_step_reuses_midpoint_coefficients(monkeypatch, jet,
-                                                 need_gradient):
-    # per step: seven RK4 stages through the flow rate, and one coefficients
-    # call at the midpoint that also gives the second half step's first stage
+def test_fixed_step_reuses_midpoint_coefficients(monkeypatch, jet):
+    # per step: seven RK4 stages of the drift, and one coefficients call at
+    # the midpoint that also gives the second half step's first stage
     calls = _count_calls(monkeypatch)
     steps = 5
     linearise._propagate_fixed_step(_counting_callables(jet, calls), NODES,
-                                    0.5, 0.1, need_gradient)
+                                    0.5, 0.1)
     assert calls == {"coefficients": steps, "drift": 8 * steps,
-                     "drift_gradient": (8 if need_gradient else 1) * steps,
-                     "diffusion": steps}
+                     "drift_gradient": steps, "diffusion": steps}
     calls.clear()
-    linearise._propagate_fixed_step(jet, NODES, 0.5, 0.1, need_gradient)
+    linearise._propagate_fixed_step(jet, NODES, 0.5, 0.1)
     assert calls == {"coefficients": steps}
 
 
@@ -425,8 +433,8 @@ def test_random_linear_additive_field_is_exact(n, m, seed):
     for method, bound in ORACLE_BOUNDS.items():
         field = s2_field(model, grid, t, tol=1e-8, method=method, dt=1e-3)
         for x0, value in zip(grid.points(), field.values):
-            cov = linearise._propagate(model, x0, t, method, 1e-8, 1e-3,
-                                       False)[2]
+            cov = linearise._propagate(model, x0, t, method, 1e-8,
+                                       1e-3)[1]
             assert value == np.linalg.eigvalsh(cov)[-1]
         assert field.n_missing == 0
         assert np.max(np.abs(field.values - top)) <= bound * top

@@ -306,15 +306,15 @@ def test_jet_rk45_fused_equals_callables_and_scipy(jet):
     # rounding of scipy's RK45 on the concatenated RHS of the reference
     # coefficients
     nodes, t, tol = np.array([[0.3, 1.1], [2.5, 0.4]]), 1.0, 1e-6
-    fused = _propagate_rk45(jet, nodes, t, tol, True)
-    plain = _propagate_rk45(dataclasses.replace(jet), nodes, t, tol, True)
+    fused = _propagate_rk45(jet, nodes, t, tol)
+    plain = _propagate_rk45(dataclasses.replace(jet), nodes, t, tol)
     for got, want in zip(fused, plain):
         assert np.array_equal(got, want)
     reference = VectorFieldModel(name="stacked", dim_state=2, dim_noise=2,
                                  constants=jet.constants,
                                  **_stacked_jet(jet.params))
     for i, node in enumerate(nodes):
-        want, _ = rk45_oracle(reference, node, t, tol, True)
+        want, _ = rk45_oracle(reference, node, t, tol)
         for got, ref in zip(fused, want):
             assert np.linalg.norm(got[i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -389,7 +389,7 @@ def test_user_model_needs_only_the_three_callables(name):
         for got, want in zip(user.coefficients(at, 0.3),
                              model.coefficients(at, 0.3)):
             assert np.array_equal(got, want)
-    for run in (lambda m: _propagate_rk45(m, x, 0.5, 1e-6, True),
-                lambda m: _propagate_fixed_step(m, xs, 0.5, 1e-2, True)):
+    for run in (lambda m: _propagate_rk45(m, x, 0.5, 1e-6),
+                lambda m: _propagate_fixed_step(m, xs, 0.5, 1e-2)):
         for got, want in zip(run(user), run(model)):
             assert np.array_equal(got, want)

@@ -19,7 +19,7 @@ PUBLIC = [
     "SingularGradientError", "SweepResult", "UnknownModelError",
     "VectorFieldModel", "bootstrap_coefficients", "bound_rhs",
     "builtin_model", "covariance_by_quadrature", "default_bdg_constant",
-    "draw_initial", "estimate_constants", "extract_robust_set", "fit_scaling",
+    "estimate_constants", "extract_robust_set", "fit_scaling",
     "gaussian_delta_bound", "lemma_constants", "linearised_distribution",
     "moment_constant", "read_batch", "read_field", "read_sweep",
     "rho_curvature_interval", "run_sweep", "s2_empirical_limit", "s2_field",
@@ -48,12 +48,12 @@ def test_star_import_gives_exactly_the_public_names():
     (flow, "integrate_flow"), (flow, "integrate_flow_with_gradient"),
     (flow, "FlowResult"), (flow, "FlowPath"), (models, "eval_model"),
     (linearise, "propagate_covariance"), (sampling, "sample_nonlinear"),
-    (sampling, "_terminal_samples")])
+    (sampling, "_terminal_samples"), (sampling, "draw_initial")])
 def test_deleted_name_is_gone(module, name):
     # the flow has one entry point, solve_flow, which returns F and DF at
     # the caller's times, the coefficients are the model's own callables,
     # the law has one, linearised_distribution, and the sampler one
-    # stepping loop, sample_cells
+    # stepping loop, sample_cells, and one initial draw, _draw
     assert not hasattr(module, name)
     assert not hasattr(linsde, name)
 

@@ -13,8 +13,8 @@ from linsde.exceptions import BatchError, CovarianceError
 from linsde.flow import solve_flow
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import MODEL_NAMES, VectorFieldModel, builtin_model
-from linsde.sampling import (Cell, SimulationConfig, draw_initial, read_batch,
-                             sample_cells, sample_coupled)
+from linsde.sampling import (Cell, SimulationConfig, read_batch, sample_cells,
+                             sample_coupled)
 
 
 def cubic_drift_model():
@@ -52,45 +52,51 @@ class TestConfig:
         assert cfg.steps_for(1e-5) == 1  # rounded up to one step
 
 
+def initial_draws(init, n_samples, seed):
+    """The sampler's initial states of samples 0, ..., n_samples - 1."""
+    factor = sampling._initial_factor(init)
+    return sampling._draw(init, factor, seed, 0, n_samples)[0]
+
+
 class TestDrawInitial:
     def test_fixed_rows_identical(self):
         init = InitialCondition.fixed([0.5, -1.0])
-        draws = draw_initial(init, 7, seed=1)
+        draws = initial_draws(init, 7, seed=1)
         assert draws.shape == (7, 2)
         assert np.all(draws == np.array([0.5, -1.0]))
 
     def test_gaussian_sample_mean(self):
         n, rho = 100_000, 0.1
         init = InitialCondition.gaussian([0.5], rho=rho)
-        draws = draw_initial(init, n, seed=2)
+        draws = initial_draws(init, n, seed=2)
         assert abs(draws.mean() - 0.5) < 4 * rho / math.sqrt(n)
 
     def test_gaussian_full_covariance(self):
         cov = np.array([[0.04, 0.015], [0.015, 0.09]])
         init = InitialCondition.gaussian([1.0, -1.0], covariance=cov)
-        draws = draw_initial(init, 60_000, seed=3)
+        draws = initial_draws(init, 60_000, seed=3)
         got = np.cov(draws, rowvar=False)
         assert np.linalg.norm(got - cov) / np.linalg.norm(cov) < 0.03
 
     def test_zero_covariance_equals_fixed(self):
         gauss = InitialCondition.gaussian([0.7], rho=0.0)
         fixed = InitialCondition.fixed([0.7])
-        np.testing.assert_array_equal(draw_initial(gauss, 5, seed=4),
-                                      draw_initial(fixed, 5, seed=4))
+        np.testing.assert_array_equal(initial_draws(gauss, 5, seed=4),
+                                      initial_draws(fixed, 5, seed=4))
 
     def test_non_psd_rejected(self):
         init = InitialCondition.gaussian(
             [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CovarianceError):
-            draw_initial(init, 3, seed=0)
+            initial_draws(init, 3, seed=0)
 
     def test_seed_and_index_stability(self):
         init = InitialCondition.gaussian([0.0], rho=1.0)
-        a = draw_initial(init, 10, seed=11)
-        b = draw_initial(init, 10, seed=11)
+        a = initial_draws(init, 10, seed=11)
+        b = initial_draws(init, 10, seed=11)
         np.testing.assert_array_equal(a, b)
         # per-index streams: a longer batch extends, never reshuffles
-        c = draw_initial(init, 20, seed=11)
+        c = initial_draws(init, 20, seed=11)
         np.testing.assert_array_equal(c[:10], a)
 
 
@@ -128,7 +134,7 @@ def stepped_linearisation(model, init, eps, t, cfg):
     u_ref = model.drift(ref[:-1], tgrid[:-1])
     jac_ref = model.drift_gradient(ref[:-1], tgrid[:-1])
     sig_ref = model.diffusion(ref[:-1], tgrid[:-1])
-    l = draw_initial(init, cfg.n_samples, cfg.seed)
+    l = initial_draws(init, cfg.n_samples, cfg.seed)
     skip = 0 if sampling._initial_factor(init) is None else init.dim
     dw = np.empty((cfg.n_samples, steps, model.dim_noise))
     for i in range(cfg.n_samples):

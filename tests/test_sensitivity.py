@@ -10,7 +10,7 @@ from linsde.artifacts import write_record
 from linsde.exceptions import IntegrationFailure
 from linsde.linearise import InitialCondition, linearised_distribution
 from linsde.models import VectorFieldModel, builtin_model
-from linsde.sampling import SimulationConfig
+from linsde.sampling import SimulationConfig, sample_cells, sample_coupled
 from linsde.sensitivity import (GridSpec, S2Field, check_field,
                                 extract_robust_set, read_field,
                                 s2_empirical_limit, s2_field, s2_point,
@@ -367,10 +367,33 @@ class TestEmpiricalLimit:
     def test_every_scale_checked_before_sampling(self, monkeypatch, ou,
                                                  epsilons):
         # a bad second scale was found only after sampling the first
-        monkeypatch.setattr(sensitivity, "sample_coupled", None)
+        monkeypatch.setattr(sensitivity, "sample_cells", None)
         with pytest.raises(ValueError, match="epsilons"):
             s2_empirical_limit(ou, [1.0], 1.0, epsilons,
                                SimulationConfig(n_samples=10))
+
+    def test_scales_are_cells_of_one_run(self, monkeypatch, jet):
+        # one sample_cells call for all scales gives each scale the batch
+        # sample_coupled gives it alone, so the values are those of one
+        # run per scale, bitwise
+        cfg = SimulationConfig(dt=1e-2, n_samples=300, seed=7)
+        epsilons = [0.2, 0.05, 0.01]
+        want = []
+        for eps in epsilons:
+            y = sample_coupled(jet, InitialCondition.fixed([0.3, 1.1]), eps,
+                               1.0, cfg).y_samples
+            want.append(float(np.linalg.eigvalsh(np.cov(y, rowvar=False))[-1]
+                              / eps ** 2))
+        runs = []
+
+        def counted(model, cells, *args):
+            runs.append(len(cells))
+            return sample_cells(model, cells, *args)
+        monkeypatch.setattr(sensitivity, "sample_cells", counted)
+        assert s2_empirical_limit(jet, [0.3, 1.1], 1.0, epsilons, cfg) == want
+        assert runs == [len(epsilons)]
+        assert s2_empirical_limit(jet, [0.3, 1.1], 1.0, [], cfg) == []
+        assert runs == [len(epsilons)]
 
     def test_failed_reference_flow_is_an_integration_failure(self, sine):
         # the samples come from the coupled sampler, which solves the
