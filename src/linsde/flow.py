@@ -30,14 +30,18 @@ DEFAULT_TOL = 1e-8
 #: Dormand-Prince 5(4) tableau of scipy's RK45 (Dormand & Prince 1980):
 #: stage times and coefficients, fifth-order weights, and the weights of
 #: the error estimate over the seven stages (the last is the rate at the
-#: step end, which starts the next step)
+#: step end, which starts the next step). The weights are 0-d arrays:
+#: numpy multiplies one into a stage faster than a Python float, which it
+#: converts on every call, and to the same bits.
 _DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-         -22 / 525, 1 / 40)
+_DP_A = tuple(tuple(map(np.array, row)) for row in (
+    (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)))
+_DP_B = tuple(map(np.array, (35 / 384, 0.0, 500 / 1113, 125 / 192,
+                             -2187 / 6784, 11 / 84)))
+_DP_E = tuple(map(np.array, (-71 / 57600, 0.0, 71 / 16695, -71 / 1920,
+                             17253 / 339200, -22 / 525, 1 / 40)))
 #: Shampine's quartic interpolant over the seven stages, as in scipy's
 #: RK45: z(s + x h) = z(s) + h sum_j K_j sum_c P[j, c] x^(c + 1)
 _DP_P = np.array([

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -174,10 +175,23 @@ def _jet_constants(p: MeanderingJetParams) -> BoundConstants:
 
 def _meandering_jet_model(**kwargs) -> VectorFieldModel:
     p = MeanderingJetParams(**kwargs)
+    constants = _jet_constants(p)
     c, A, K, e, c1, k1, l1 = p.c, p.A, p.K, p.eps_mj, p.c1, p.k1, p.l1
+    # the entries' constant factors, each formed as Python's left-to-right
+    # evaluation forms it (``-A * K * cq`` is ``(-A * K) * cq``): Python
+    # floats for a point, 0-d arrays for a batch, which numpy multiplies
+    # into a vector faster, to the same bits; built after _jet_constants,
+    # which turns an overflowing power into a ValueError
+    point = SimpleNamespace(
+        c=c, A=A, K=K, c1=c1, k1=k1, l1=l1, e_l1=e * l1, e_k1=e * k1,
+        A_K=A * K, neg_A_K=-A * K, e_l1_k1=e * l1 * k1, e_l1sq=e * l1 ** 2,
+        neg_A_Ksq=-A * K ** 2, e_k1sq=e * k1 ** 2, e_k1_l1=e * k1 * l1)
+    batch = SimpleNamespace(**{name: np.array(value)
+                               for name, value in vars(point).items()})
 
     def trig(x, t, phase=True):
-        """The batch shape and the sines and cosines of the coefficients."""
+        """The batch shape, the sines and cosines of the coefficients, and
+        the constant factors for that shape."""
         # one point, alone or as a one-row batch, gives Python floats and
         # numpy scalars rather than arrays: the terms' values are the same,
         # and scalar arithmetic is several times cheaper
@@ -188,31 +202,34 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
         if math.prod(shape) == 1:
             y1, y2 = x.ravel().tolist()
             t = np.asarray(t).item() if phase else t
+            f = point
         else:
             y1, y2 = x[..., 0], x[..., 1]
-        terms = (np.sin(K * y1), np.cos(K * y1), np.sin(y2), np.cos(y2))
+            f = batch
+        ky = f.K * y1
+        terms = (np.sin(ky), np.cos(ky), np.sin(y2), np.cos(y2))
         if not phase:
-            return shape, terms
-        ph = k1 * (y1 - c1 * t)
-        return shape, terms + (np.sin(ph), np.cos(ph), np.sin(l1 * y2),
-                               np.cos(l1 * y2))
+            return shape, terms, f
+        ph, ly = f.k1 * (y1 - f.c1 * t), f.l1 * y2
+        return shape, terms + (np.sin(ph), np.cos(ph), np.sin(ly),
+                               np.cos(ly)), f
 
-    def drift_entries(terms):
+    def drift_entries(terms, f):
         s1, cq, s2, c2, sp, cp, sl, cl = terms
-        return (c - A * s1 * c2 + e * l1 * sp * cl,
-                A * K * cq * s2 + e * k1 * cp * sl)
+        return (f.c - f.A * s1 * c2 + f.e_l1 * sp * cl,
+                f.A_K * cq * s2 + f.e_k1 * cp * sl)
 
-    def gradient_entries(terms):
+    def gradient_entries(terms, f):
         s1, cq, s2, c2, sp, cp, sl, cl = terms
-        return (-A * K * cq * c2 + e * l1 * k1 * cp * cl,
-                A * s1 * s2 - e * l1 ** 2 * sp * sl,
-                -A * K ** 2 * s1 * s2 - e * k1 ** 2 * sp * sl,
-                A * K * cq * c2 + e * k1 * l1 * cp * cl)
+        return (f.neg_A_K * cq * c2 + f.e_l1_k1 * cp * cl,
+                f.A * s1 * s2 - f.e_l1sq * sp * sl,
+                f.neg_A_Ksq * s1 * s2 - f.e_k1sq * sp * sl,
+                f.A_K * cq * c2 + f.e_k1_l1 * cp * cl)
 
-    def diffusion_entries(terms):
+    def diffusion_entries(terms, f):
         # columns model perturbations to the phase speed and the amplitude
         s1, cq, s2, c2 = terms[:4]
-        return (1.0, s1 * c2, 0.0, K * cq * s2)
+        return (1.0, s1 * c2, 0.0, f.K * cq * s2)
 
     def pack(shape, entries, tail):
         """``entries`` (row-major over ``tail``) of a batch of ``shape`` as
@@ -226,35 +243,33 @@ def _meandering_jet_model(**kwargs) -> VectorFieldModel:
 
     # the phase terms carry t, so the drift's shape is theirs
     def drift(x, t):
-        shape, terms = trig(x, t)
-        return pack(shape, drift_entries(terms), (2,))
+        shape, terms, f = trig(x, t)
+        return pack(shape, drift_entries(terms, f), (2,))
 
     def drift_gradient(x, t):
-        shape, terms = trig(x, t)
-        return pack(shape, gradient_entries(terms), (2, 2))
+        shape, terms, f = trig(x, t)
+        return pack(shape, gradient_entries(terms, f), (2, 2))
 
     def diffusion(x, t):
-        shape, terms = trig(x, t, phase=False)
-        return pack(shape, diffusion_entries(terms), (2, 2))
+        shape, terms, f = trig(x, t, phase=False)
+        return pack(shape, diffusion_entries(terms, f), (2, 2))
 
     def fused(x, t):
-        shape, terms = trig(x, t)
-        u, g, d = (drift_entries(terms), gradient_entries(terms),
-                   diffusion_entries(terms))
-        if math.prod(shape) == 1:
-            # one point: one small array holds all three
-            buf = np.array(u + g + d)
-            return (buf[:2].reshape(shape + (2,)),
-                    buf[2:6].reshape(shape + (2, 2)),
-                    buf[6:].reshape(np.shape(x)[:-1] + (2, 2)))
-        return (pack(shape, u, (2,)), pack(shape, g, (2, 2)),
-                pack(np.shape(x)[:-1], d, (2, 2)))
+        shape, terms, f = trig(x, t)
+        x_shape = np.shape(x)[:-1]
+        if math.prod(x_shape) < math.prod(shape):
+            # t widens the batch, but not the diffusion, which has no t
+            return drift(x, t), drift_gradient(x, t), diffusion(x, t)
+        # one buffer holds all three
+        buf = pack(shape, drift_entries(terms, f) + gradient_entries(terms, f)
+                   + diffusion_entries(terms, f), (10,))
+        return (buf[..., :2], buf[..., 2:6].reshape(shape + (2, 2)),
+                buf[..., 6:].reshape(x_shape + (2, 2)))
 
     model = VectorFieldModel(
         name="meandering_jet", dim_state=2, dim_noise=2, drift=drift,
         drift_gradient=drift_gradient, diffusion=diffusion,
-        constants=_jet_constants(p),
-        domain=((0.0, 0.0), (math.pi, math.pi)),
+        constants=constants, domain=((0.0, 0.0), (math.pi, math.pi)),
         params={"c": c, "A": A, "K": K, "eps_mj": e, "c1": c1,
                 "k1": k1, "l1": l1})
     object.__setattr__(model, "_fused", fused)

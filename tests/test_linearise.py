@@ -317,6 +317,27 @@ def test_adaptive_kernel_of_no_nodes_is_empty(jet):
     assert state.shape == (0, 2) and cov.shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("name, dims", [
+    pytest.param(name, None, id=name) for name in MODEL_NAMES] + [
+    pytest.param("linear_additive", (n, m), id=f"linear_additive-{n}x{m}")
+    for n, m in ((3, 2), (4, 3), (6, 4))])
+def test_adaptive_covariance_is_bitwise_symmetric(name, dims):
+    # the rate uses P as it comes: J P + (J P)^T and S S^T are symmetric
+    # bit for bit and the Runge-Kutta combinations act entrywise, so P
+    # stays exactly symmetric with no symmetrisation step
+    rng = np.random.default_rng(len(name) if dims is None else dims[0])
+    params = {} if dims is None else {
+        "a_matrix": rng.standard_normal((dims[0],) * 2) / math.sqrt(dims[0]),
+        "b_vector": rng.standard_normal(dims[0]),
+        "sigma_matrix": rng.standard_normal(dims)}
+    model = builtin_model(name, **params)
+    nodes = rng.uniform(-1.5, 1.5, (16, model.dim_state))
+    for t, tol in ((0.7, 1e-6), (2.0, 1e-9)):
+        cov = linearise._propagate_rk45(model, nodes, t, tol)[1]
+        assert np.isfinite(cov).all()
+        assert np.array_equal(cov, cov.swapaxes(-1, -2))
+
+
 def test_fixed_step_reuses_midpoint_coefficients(monkeypatch, jet):
     # per step: seven RK4 stages of the drift, and one coefficients call at
     # the midpoint that also gives the second half step's first stage
