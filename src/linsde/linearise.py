@@ -233,8 +233,8 @@ def _covariance_rate(model, n):
         jp = jac @ z[:, n:].reshape(k, n, n)
         out = np.empty_like(z)
         out[:, :n] = drift
-        # S times a contiguous copy of S^T: matmul gives the same bits as
-        # for S and its own transpose, several times faster on small stacks
+        # S times a contiguous copy of S^T: the same bits as S times its
+        # own transposed view, two to three times faster on small stacks
         out[:, n:] = (jp + jp.swapaxes(1, 2)
                       + sig @ sig.swapaxes(1, 2).copy()).reshape(k, n * n)
         return out
