@@ -260,16 +260,16 @@ def _midpoint_step(jac, sig, h):
 
     ``jac`` (..., n, n) and ``sig`` (..., n, m) are taken at the step
     midpoints, over any leading batch axis. Phi is the implicit-midpoint
-    (Cayley) transition; the symmetrised forcing carries the noise from the
-    midpoint to the end of the step, which keeps the update
-    P <- Phi P Phi^T + forcing second order as well as symmetric PSD.
+    (Cayley) transition; the forcing carries the noise from the midpoint to
+    the end of the step, which keeps the update P <- Phi P Phi^T + forcing
+    second order as well as PSD. Its entries (i, l) and (l, i) sum the same
+    products in the same order, so it is symmetric bit for bit.
     """
     eye = np.eye(jac.shape[-1])
     phi = np.linalg.solve(eye - 0.5 * h * jac, eye + 0.5 * h * jac)
     half = np.linalg.solve(eye - 0.25 * h * jac, eye + 0.25 * h * jac)
     moved = half @ sig
-    forcing = h * np.einsum("...ij,...lj->...il", moved, moved)
-    return phi, 0.5 * (forcing + np.swapaxes(forcing, -1, -2))
+    return phi, h * np.einsum("...ij,...lj->...il", moved, moved)
 
 
 def _propagate_fixed_step(model, x0, t, dt):

@@ -15,12 +15,11 @@ products; for one noise column the sums are exact products. A chunk's
 initial offsets are one product of its standard normals, drawn first from
 each sample's stream, with the root of the initial covariance.
 
-Each sample owns a counter-based random stream, Philox keyed by
-``SeedSequence(entropy=seed, spawn_key=(index,))``, so batches are
+Each sample owns a counter-based random stream, Philox keyed by its index
+within its batch and one word hashed from the seed, so batches are
 reproducible bit-for-bit and independent of execution order, chunking, or
-worker count; the keys of a chunk's samples come from one vectorised pass of
-the SeedSequence hash. Samples that leave the floating-point range mid-path
-are flagged and excluded; a flag rate above 1 percent aborts the batch.
+worker count. Samples that leave the floating-point range mid-path are
+flagged and excluded; a flag rate above 1 percent aborts the batch.
 
 ``sample_cells`` is the one stepping loop. It steps several cells (initial
 law, noise scale, seed, sample count) that share the model, horizon, step,
@@ -133,7 +132,8 @@ def read_batch(csv_path, sidecar_path) -> SamplePairBatch:
 
 
 class _Key(np.random.bit_generator.ISeedSequence):
-    """Seed sequence that hands a bit generator one precomputed key."""
+    """Seed sequence that hands a bit generator one precomputed key;
+    ``Philox(key=)`` would spend OS entropy on a seed sequence it ignores."""
 
     def __init__(self, key):
         self.key = key
@@ -145,42 +145,15 @@ class _Key(np.random.bit_generator.ISeedSequence):
 def _stream_keys(seed: int, start: int, size: int) -> np.ndarray:
     """Philox keys (size, 2) of sample indices start, ..., start + size - 1.
 
-    Row i equals ``SeedSequence(entropy=seed, spawn_key=(start + i,))
-    .generate_state(2, np.uint64)``. NumPy's SeedSequence hash runs once on
-    the seed words, whose mixed pool every sample shares (it is the pool of
-    ``SeedSequence(seed)``), and is vectorised over the samples' spawn words
-    (two for an index of 2**32 or more) and the output hash.
+    Row i is ``(start + i, w)`` as uint64, with the one seed word
+    ``w = SeedSequence(seed).generate_state(1, np.uint64)[0]``: Philox is
+    keyed by the stream id, so distinct indices give independent streams,
+    and w hashes a seed of any size into the key's second word.
     """
-    def hashed(value, const, mult):
-        """NumPy's hashmix of ``value`` with the hash constant ``const``,
-        which advances by ``mult`` before the multiply."""
-        value = (value ^ np.uint32(const)) * np.uint32(const * mult % 2 ** 32)
-        return value ^ value >> np.uint32(16)
-
-    mult_a, mult_b = 0x931e8875, 0x58f38ded
-    pool = np.random.SeedSequence(seed).pool
-    # the hash constant advances once per hashed word: the pool fill, the
-    # all-pairs mix and the seed words beyond the pool
-    n_seed = max(1, -(-int(seed).bit_length() // 32))
-    n_hashed = pool.size ** 2 + pool.size * max(0, n_seed - pool.size)
-    const = 0x43b0d7e5 * pow(mult_a, n_hashed, 2 ** 32) % 2 ** 32
-
-    index = np.arange(start, start + size, dtype=np.uint64)
-    high = (index >> np.uint64(32)).astype(np.uint32)
-    mixer = np.tile(pool, (size, 1))
-    for word, rows in ((index.astype(np.uint32), slice(None)), (high, high > 0)):
-        for dst in range(pool.size):
-            mixed = np.uint32(0xca01f9dd) * mixer[rows, dst] \
-                - np.uint32(0x4973f715) * hashed(word[rows], const, mult_a)
-            mixer[rows, dst] = mixed ^ mixed >> np.uint32(16)
-            const = const * mult_a % 2 ** 32
-    # the output hash of the four pool words, read as two little-endian
-    # 64-bit words
-    const = 0x8b51f9dd
-    for w in range(pool.size):
-        mixer[:, w] = hashed(mixer[:, w], const, mult_b)
-        const = const * mult_b % 2 ** 32
-    return mixer.astype("<u4").view("<u8").astype(np.uint64)
+    keys = np.empty((size, 2), dtype=np.uint64)
+    keys[:, 0] = np.arange(start, start + size, dtype=np.uint64)
+    keys[:, 1] = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    return keys
 
 
 def _initial_factor(init: InitialCondition) -> Optional[np.ndarray]:

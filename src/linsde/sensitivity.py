@@ -17,6 +17,7 @@ any worker count. A node whose result is non-finite goes missing.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -172,19 +173,20 @@ def s2_field(model, grid: GridSpec, t: float, workers: int = 1,
 
     Every node takes the covariance kernel of :func:`s2_point` for
     ``method``: "rk45" adaptive to ``tol``, "mazzoni" fixed steps of ``dt``.
-    Nodes are split evenly into blocks of at most BLOCK_NODES nodes, the
-    same number for each worker unless that would leave a block empty,
-    computed serially or on a process pool of at most one worker a block.
-    The kernels compute each node alone, so values do not depend on the
-    partition, and fields are identical for any worker count. A model
-    that :func:`builtin_model` did not make runs serially, with a warning,
-    and the field names it ``user:<name>`` without params, since
-    ``dataclasses.replace`` keeps a catalog name over other coefficients.
-    A node with a non-finite result is recorded as missing; more than 0.1
-    percent missing raises FieldError.
+    ``workers`` is capped at the CPU count. Nodes are split evenly into
+    blocks of at most BLOCK_NODES nodes, the same number for each worker
+    unless that would leave a block empty, computed serially or on a
+    process pool of at most one worker a block. The kernels compute each
+    node alone, so values do not depend on the partition, and fields are
+    identical for any worker count. A model that :func:`builtin_model` did
+    not make runs serially, with a warning, and the field names it
+    ``user:<name>`` without params, since ``dataclasses.replace`` keeps a
+    catalog name over other coefficients. A node with a non-finite result
+    is recorded as missing; more than 0.1 percent missing raises FieldError.
     """
     check_field(model, grid, workers, tol, method, dt)
     _checks.at_least(t, "t")
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and model._recipe is None:
         warnings.warn(f"model {model.name!r} was not built by builtin_model "
                       "and cannot be shipped to worker processes; running "

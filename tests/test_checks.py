@@ -261,6 +261,19 @@ def test_the_flow_gradient_is_integrated_in_the_flow_module_alone(module):
     assert not found, f"{module}: take DF from flow.solve_flow, not {found}"
 
 
+@pytest.mark.parametrize("module", MODULES + ["_checks.py"])
+def test_sample_streams_are_keyed_in_the_sampling_module_alone(module):
+    # one key path: no other module builds Philox keys, and no module
+    # copies SeedSequence's hash by reading its mixed pool
+    keys = set() if module == "sampling.py" \
+        else _identifiers(module) & {"_stream_keys", "_Key"}
+    pools = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Attribute) and node.attr == "pool"]
+    assert not keys and not pools, \
+        f"{module}: draw streams with linsde.sampling, not {keys} or the " \
+        f".pool read at lines {pools}"
+
+
 def test_the_command_line_loads_no_scipy():
     # a cold start pays for numpy alone
     code = ("import sys, linsde.cli; "

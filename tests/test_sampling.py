@@ -100,26 +100,36 @@ class TestDrawInitial:
         np.testing.assert_array_equal(c[:10], a)
 
 
+def stream_key(seed, index):
+    """The Philox key of sample ``index``'s stream, by its definition: the
+    index and the one word hashed from the seed."""
+    word = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    return np.array([index, word], dtype=np.uint64)
+
+
+def keyed_stream(seed, index):
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, index)))
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
                                       2 ** 130 + 7])
-    def test_keys_equal_seed_sequence(self, seed):
+    def test_keys_are_index_and_seed_word(self, seed):
         for start, size in ((0, 2048), (2 ** 32 - 2, 4)):
-            want = [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-                    .generate_state(2, np.uint64)
-                    for i in range(start, start + size)]
+            want = [stream_key(seed, i) for i in range(start, start + size)]
             got = sampling._stream_keys(seed, start, size)
             assert got.dtype == np.uint64
             np.testing.assert_array_equal(got, want)
 
-    def test_keyed_stream_equals_seed_sequence_stream(self):
-        seed, index = 2 ** 64 - 1, 2 ** 32 + 1
-        key = sampling._stream_keys(seed, index, 1)[0]
-        keyed = np.random.Generator(np.random.Philox(seed=sampling._Key(key)))
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        plain = np.random.Generator(np.random.Philox(seed=seq))
-        np.testing.assert_array_equal(keyed.standard_normal(1000),
-                                      plain.standard_normal(1000))
+    def test_keyed_stream_equals_philox_keyed_stream(self):
+        for seed in (0, 1, 2 ** 64 - 1, 2 ** 130 + 7):
+            for start in (0, 2 ** 32 - 2):
+                key = sampling._stream_keys(seed, start, 1)[0]
+                keyed = np.random.Generator(
+                    np.random.Philox(seed=sampling._Key(key)))
+                np.testing.assert_array_equal(
+                    keyed.standard_normal(1000),
+                    keyed_stream(seed, start).standard_normal(1000))
 
 
 def stepped_linearisation(model, init, eps, t, cfg):
@@ -138,8 +148,7 @@ def stepped_linearisation(model, init, eps, t, cfg):
     skip = 0 if sampling._initial_factor(init) is None else init.dim
     dw = np.empty((cfg.n_samples, steps, model.dim_noise))
     for i in range(cfg.n_samples):
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.Philox(seed=seq))
+        rng = keyed_stream(cfg.seed, i)
         rng.standard_normal(skip)
         rng.standard_normal(out=dw[i])
     dw *= np.sqrt(h)

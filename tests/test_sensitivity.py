@@ -234,14 +234,29 @@ class TestS2Field:
     def test_blocks_split_evenly_over_workers(self, monkeypatch, jet):
         grid = GridSpec(((0.0, 3.0, 12), (0.0, 3.0, 10)))
         serial = s2_field(jet, grid, 0.5).values
+        monkeypatch.setattr(sensitivity.os, "cpu_count", lambda: 4)
         seen = self._inline_pool(monkeypatch)
         twice = s2_field(jet, grid, 0.5, workers=2).values
         assert seen == {"max_workers": [2], "blocks": [60, 60]}
         np.testing.assert_array_equal(twice, serial)
 
+    @pytest.mark.parametrize("cpus, pool", [(3, [3]), (1, []), (None, [])])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, jet, cpus,
+                                                 pool):
+        # a pool of the requested size would fork that many processes; the
+        # field does not depend on the partition, so the cap keeps its bits
+        grid = GridSpec(((0.0, 3.0, 12), (0.0, 3.0, 10)))
+        serial = s2_field(jet, grid, 0.5).values
+        monkeypatch.setattr(sensitivity.os, "cpu_count", lambda: cpus)
+        seen = self._inline_pool(monkeypatch)
+        capped = s2_field(jet, grid, 0.5, workers=10 ** 6).values
+        assert seen["max_workers"] == pool
+        np.testing.assert_array_equal(capped, serial)
+
     def test_fewer_nodes_than_workers_make_no_empty_block(self, monkeypatch,
                                                           jet):
         grid = GridSpec(((0.3, 0.3, 1), (1.1, 1.1, 1)))
+        monkeypatch.setattr(sensitivity.os, "cpu_count", lambda: 4)
         seen = self._inline_pool(monkeypatch)
         field = s2_field(jet, grid, 0.5, workers=3)
         assert seen == {"max_workers": [1], "blocks": [1]}
