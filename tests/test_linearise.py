@@ -339,7 +339,7 @@ def test_adaptive_covariance_is_bitwise_symmetric(name, dims):
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 7)
-                                  for m in (1, 2, 5)])
+                                  for m in range(1, 6)])
 def test_fixed_step_forcing_is_bitwise_symmetric(n, m):
     # entries (i, l) and (l, i) of the forcing sum the same products in the
     # same order, so it is used with no symmetrisation step
@@ -348,25 +348,6 @@ def test_fixed_step_forcing_is_bitwise_symmetric(n, m):
     sig = rng.standard_normal((512, n, m))
     for h in (2e-3, 1e-2, 0.3):
         forcing = linearise._midpoint_step(jac, sig, h)[1]
-        assert np.array_equal(forcing, forcing.swapaxes(-1, -2))
-
-
-@pytest.mark.parametrize("name, dims", [
-    pytest.param(name, None, id=name) for name in MODEL_NAMES] + [
-    pytest.param("linear_additive", (n, m), id=f"linear_additive-{n}x{m}")
-    for n, m in ((3, 2), (4, 3), (6, 4))])
-def test_fixed_step_forcing_of_models_is_bitwise_symmetric(name, dims):
-    rng = np.random.default_rng(len(name) if dims is None else dims[0])
-    params = {} if dims is None else {
-        "a_matrix": rng.standard_normal((dims[0],) * 2) / math.sqrt(dims[0]),
-        "b_vector": rng.standard_normal(dims[0]),
-        "sigma_matrix": rng.standard_normal(dims)}
-    model = builtin_model(name, **params)
-    nodes = rng.uniform(-1.5, 1.5, (64, model.dim_state))
-    _, jac, sig = model.coefficients(nodes, 0.3)
-    for h in (2e-3, 1e-2, 0.3):
-        forcing = linearise._midpoint_step(jac, sig, h)[1]
-        assert np.isfinite(forcing).all()
         assert np.array_equal(forcing, forcing.swapaxes(-1, -2))
 
 
