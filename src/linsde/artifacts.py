@@ -16,11 +16,15 @@ import numpy as np
 
 
 def write_table(path, names, columns) -> None:
-    """Write parallel 1-D ``columns`` under the header ``names``."""
+    """Write parallel 1-D ``columns`` under the header ``names``; columns
+    of unequal length are refused, not cut to the shortest."""
     cells = []
     for col in map(np.asarray, columns):
         fmt = "{:d}" if col.dtype.kind in "biu" else "{:.17g}"
         cells.append(list(map(fmt.format, col.tolist())))
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError(f"{path}: columns have unequal lengths "
+                         f"{[len(col) for col in cells]}")
     with open(path, "w") as fh:
         fh.write("\n".join([",".join(names), *map(",".join, zip(*cells))])
                  + "\n")

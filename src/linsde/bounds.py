@@ -133,8 +133,9 @@ def gaussian_delta_bound(sigma0: np.ndarray, r: float) -> float:
     with rho^2 = tr(Sigma0)). Returns delta_r itself, not its r-th power.
     """
     _checks.positive(r, "r")
-    sigma0 = np.atleast_2d(_checks.finite_array(sigma0, "covariance"))
+    sigma0 = np.atleast_2d(_checks.real_array(sigma0, "covariance"))
     n = sigma0.shape[0]
+    sigma0 = _checks.finite_array(sigma0, "covariance", (n, n))
     trace = _checks.at_least(float(np.trace(sigma0)), "covariance trace")
     delta_pow_r = n ** (1.5 * r - 1.0) * moment_constant(r) * trace ** (0.5 * r)
     return delta_pow_r ** (1.0 / r)

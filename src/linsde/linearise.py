@@ -21,6 +21,11 @@ DF (int L L^T dtau) DF^T with L(tau) = DF(tau)^{-1} S(tau) at the Gauss
 nodes of one flow solve, an independent discretisation used for
 cross-checking; the ODE route never needs the gradient inverse and is the
 production path.
+
+Both laws, :class:`InitialCondition` and :class:`GaussianState`, check
+themselves when built, and :meth:`GaussianState.load` reads a law file
+through that check, so no law with a non-finite entry or a covariance
+that is not symmetric PSD exists; an initial law's ``kind`` is derived.
 """
 
 from __future__ import annotations
@@ -47,9 +52,13 @@ METHODS = ("rk45", "mazzoni")
 QUAD_NODES_PER_UNIT_TIME = 200
 
 
-def _check_covariance(cov: np.ndarray, where: str) -> np.ndarray:
-    """Validate symmetry and positive semi-definiteness, return symmetrised."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+def _check_covariance(cov, n: int, where: str) -> np.ndarray:
+    """``cov`` as a float (n, n) array, symmetrised, if it is finite and
+    symmetric PSD."""
+    cov = np.atleast_2d(_checks.real_array(cov, "covariance"))
+    if cov.shape != (n, n):
+        raise ValueError(f"covariance must have shape ({n}, {n}), "
+                         f"got {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise CovarianceError(f"{where}: covariance has non-finite entries")
     scale = max(float(np.linalg.norm(cov)), 1e-300)
@@ -67,18 +76,19 @@ def _check_covariance(cov: np.ndarray, where: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean and covariance of the linearised solution at one time."""
+    """Mean and covariance of the linearised solution at one time, checked
+    when built: a finite mean and a symmetric PSD covariance."""
 
     mean: np.ndarray
     covariance: np.ndarray
     t: float
     epsilon: float
 
-    def validate(self) -> "GaussianState":
-        _check_covariance(self.covariance, "GaussianState")
+    def __post_init__(self):
+        _check_covariance(self.covariance, np.size(self.mean),
+                          "GaussianState")
         if not np.all(np.isfinite(self.mean)):
             raise CovarianceError("GaussianState: non-finite mean")
-        return self
 
     def to_json(self) -> dict:
         return {"mean": list(map(float, self.mean)),
@@ -87,68 +97,60 @@ class GaussianState:
                 "epsilon": float(self.epsilon)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GaussianState":
-        mean = np.asarray(data["mean"], dtype=float)
-        n = mean.shape[0]
-        cov = np.asarray(data["covariance"], dtype=float).reshape(n, n)
-        return cls(mean, cov, float(data["t"]), float(data["epsilon"]))
-
-    @classmethod
     def load(cls, path) -> "GaussianState":
-        return cls.from_json(read_record(path))
+        data = read_record(path)
+        mean = np.asarray(data["mean"], dtype=float)
+        cov = np.asarray(data["covariance"], dtype=float).reshape(len(mean), -1)
+        return cls(mean, cov, float(data["t"]), float(data["epsilon"]))
 
 
 @dataclass(frozen=True)
 class InitialCondition:
     """Initial law of the coupled system, relative to a reference point.
 
-    ``kind`` is "fixed" (point mass at the reference point) or "gaussian".
-    For the Gaussian case the reference point defaults to the mean, the
-    natural linearisation point. ``rho`` records the isotropic scale when
-    the covariance was specified as rho^2 * I, else None.
+    Building one converts the mean and the reference point to finite
+    points of R^n and the covariance to a symmetrised (n, n) PSD matrix.
+    ``kind`` is derived: "fixed" (point mass at the reference point) when
+    the covariance is zero and the mean is the reference point, else
+    "gaussian". The reference point defaults to the mean, the natural
+    linearisation point. ``rho`` records the isotropic scale when the
+    covariance was specified as rho^2 * I, else None.
     """
 
-    kind: str
     reference_point: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
     rho: Optional[float] = None
 
+    def __post_init__(self):
+        mean = _checks.finite_array(self.mean, "mean", (np.size(self.mean),))
+        object.__setattr__(self, "reference_point", _checks.finite_array(
+            self.reference_point, "reference_point", mean.shape))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", _check_covariance(
+            self.covariance, len(mean), "InitialCondition"))
+
     @classmethod
     def fixed(cls, x0) -> "InitialCondition":
         x0 = _checks.real_array(x0, "x0")
         n = x0.shape[0]
-        return cls("fixed", x0, x0.copy(), np.zeros((n, n)), rho=0.0)
+        return cls(x0, x0.copy(), np.zeros((n, n)), rho=0.0)
 
     @classmethod
     def gaussian(cls, mean, covariance=None, rho: Optional[float] = None,
                  reference_point=None) -> "InitialCondition":
         mean = _checks.real_array(mean, "mean")
-        n = mean.shape[0]
         if (covariance is None) == (rho is None):
             raise ValueError("specify exactly one of covariance or rho")
         if rho is not None:
-            covariance = _checks.at_least(rho, "rho") ** 2 * np.eye(n)
-        covariance = np.atleast_2d(_checks.real_array(covariance, "covariance"))
-        if covariance.shape != (n, n):
-            raise ValueError(f"covariance must have shape ({n}, {n})")
-        ref = mean.copy() if reference_point is None \
-            else _checks.real_array(reference_point, "reference_point")
-        return cls("gaussian", ref, mean, covariance, rho=rho)
+            covariance = _checks.at_least(rho, "rho") ** 2 * np.eye(len(mean))
+        ref = mean.copy() if reference_point is None else reference_point
+        return cls(ref, mean, covariance, rho=rho)
 
-    def validate(self) -> "InitialCondition":
-        if self.kind not in ("fixed", "gaussian"):
-            raise ValueError(f"unknown initial-condition kind {self.kind!r}")
-        n = _check_covariance(self.covariance, "InitialCondition").shape[0]
-        _checks.finite_array(self.mean, "mean", (n,))
-        _checks.finite_array(self.reference_point, "reference_point", (n,))
-        if self.kind == "fixed":
-            if np.any(self.covariance != 0.0):
-                raise ValueError("fixed initial condition must have zero covariance")
-            if not np.array_equal(self.mean, self.reference_point):
-                raise ValueError("fixed initial condition must have "
-                                 "mean equal to the reference point")
-        return self
+    @property
+    def kind(self) -> str:
+        return "gaussian" if np.any(self.covariance) or not np.array_equal(
+            self.mean, self.reference_point) else "fixed"
 
     @property
     def dim(self) -> int:
@@ -179,7 +181,6 @@ def linearised_distribution(model, init: InitialCondition, t: float,
     A non-finite kernel result raises IntegrationFailure before DF is
     solved.
     """
-    init.validate()
     if init.dim != model.dim_state:
         raise ValueError(f"initial condition has shape ({init.dim},), model "
                          f"{model.name!r} needs ({model.dim_state},)")
@@ -189,13 +190,8 @@ def linearised_distribution(model, init: InitialCondition, t: float,
     _checks.positive(dt, "dt")
     if method not in METHODS:
         raise ValueError(f"unknown covariance integrator {method!r}")
-    x0 = init.reference_point
-    sigma0 = _check_covariance(init.covariance, "InitialCondition")
+    x0, sigma0 = init.reference_point, init.covariance
     offset = None if np.array_equal(init.mean, x0) else init.mean - x0
-
-    if t == 0.0:
-        mean = x0.copy() if offset is None else x0 + offset
-        return GaussianState(mean, sigma0, 0.0, epsilon).validate()
 
     state, unit = _propagate(model, x0, t, method, tol, dt)
     if not (np.isfinite(state).all() and np.isfinite(unit).all()):
@@ -210,7 +206,7 @@ def linearised_distribution(model, init: InitialCondition, t: float,
             mean = state + grad @ offset
         cov = cov + grad @ sigma0 @ grad.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov, float(t), float(epsilon)).validate()
+    return GaussianState(mean, cov, float(t), float(epsilon))
 
 
 def _propagate(model, x0, t, method, tol, dt):

@@ -158,8 +158,7 @@ def _stream_keys(seed: int, start: int, size: int) -> np.ndarray:
 
 def _initial_factor(init: InitialCondition) -> Optional[np.ndarray]:
     """Symmetric square root of the initial covariance (None when zero)."""
-    init.validate()
-    if init.kind == "fixed" or not np.any(init.covariance):
+    if not np.any(init.covariance):
         return None
     w, v = np.linalg.eigh(init.covariance)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -240,7 +239,6 @@ def check_cells(model, cells, t: float, config: SimulationConfig) -> None:
             _checks.at_least(cell.epsilon, "epsilon")
             _checks.integer(cell.n, "n")
             _checks.integer(cell.seed, "seed", 0)
-            cell.init.validate()
             if cell.init.dim != n:
                 raise ValueError(f"initial condition dimension "
                                  f"{cell.init.dim} does not match the model "

@@ -41,10 +41,13 @@ def strong_error(batch: SamplePairBatch, r: float) -> tuple[float, float]:
 
 
 def moment_orders(r) -> list[float]:
-    """One moment order or a sequence of them, as a list of floats; every
-    order must be finite and non-negative."""
-    return [float(_checks.at_least(o, "r"))
-            for o in ([r] if np.ndim(r) == 0 else r)]
+    """One moment order or a non-empty sequence of them, as a list of
+    floats; every order must be finite and non-negative."""
+    orders = [float(_checks.at_least(o, "r"))
+              for o in ([r] if np.ndim(r) == 0 else r)]
+    if not orders:
+        raise ValueError(f"r must give at least one moment order, got {r!r}")
+    return orders
 
 
 def _estimate_from_distances(dist: np.ndarray, r: float) -> tuple[float, float]:

@@ -112,6 +112,11 @@ class S2Field:
     params: dict = field(default_factory=dict)
     n_missing: int = 0
 
+    def __post_init__(self):
+        if np.shape(self.values) != (self.grid.n_nodes,):
+            raise ValueError(f"values must have shape ({self.grid.n_nodes},), "
+                             f"one per grid node, got {np.shape(self.values)}")
+
     def header(self) -> dict:
         return {"grid": self.grid.to_json(), "t": float(self.t),
                 "model": self.model_name, "params": self.params,
@@ -232,6 +237,7 @@ def s2_empirical_limit(model, x0, t: float, epsilons: Sequence[float],
     """
     for i, eps in enumerate(epsilons):
         _checks.positive(eps, f"epsilons[{i}]")
+    _checks.at_least(config.n_samples, "n_samples", 2)
     init = InitialCondition.fixed(x0)
     cells = [Cell(init, eps, config.seed, config.n_samples)
              for eps in epsilons]

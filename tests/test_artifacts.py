@@ -88,6 +88,14 @@ def test_a_ragged_row_is_rejected(tmp_path):
         read_table(tmp_path / "t.csv")
 
 
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    # zipping the columns would write the two rows the shorter one has
+    with pytest.raises(ValueError, match=r"unequal lengths \[3, 2\]"):
+        write_table(tmp_path / "t.csv", ["a", "b"],
+                    [np.arange(3.0), np.arange(2.0)])
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_record_format(tmp_path):
     path = tmp_path / "r.json"
     record = {"b": [1.5, None], "a": {"y": 1, "x": "s"}}

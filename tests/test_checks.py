@@ -52,23 +52,31 @@ BAD_ARGUMENTS = [
      "r", True),
     ("check_bound", lambda v: check_bound(v, 1.0), "r", True),
     ("moment_orders", moment_orders, "r", True),
+    ("moment_orders", moment_orders, "r", []),
     ("s2_empirical_limit",
      lambda v: s2_empirical_limit(OU, [1.0], 1.0, [v],
                                   SimulationConfig(n_samples=10)),
      "epsilons[0]", True),
+    ("s2_empirical_limit",
+     lambda v: s2_empirical_limit(OU, [1.0], 1.0, [0.1],
+                                  SimulationConfig(n_samples=v)),
+     "n_samples", 1),
+    ("gaussian_delta_bound", lambda v: gaussian_delta_bound(v, 1.0),
+     "covariance", [[1.0, 0.0, 0.0]]),
     ("estimate_constants", lambda v: estimate_constants(OU, n_jitter=v),
      "n_jitter", -3),
     ("estimate_constants", lambda v: estimate_constants(OU, times=v),
      "times[0]", (nan,)),
     ("estimate_constants", lambda v: estimate_constants(OU, times=v),
      "times", ()),
-    ("InitialCondition.gaussian.validate",
-     lambda v: InitialCondition.gaussian(v, rho=0.1).validate(), "mean",
-     [nan]),
-    ("InitialCondition.gaussian.validate",
-     lambda v: InitialCondition.gaussian([0.0], rho=0.1,
-                                         reference_point=v).validate(),
+    ("InitialCondition.gaussian",
+     lambda v: InitialCondition.gaussian(v, rho=0.1), "mean", [nan]),
+    ("InitialCondition.gaussian",
+     lambda v: InitialCondition.gaussian([0.0], rho=0.1, reference_point=v),
      "reference_point", [0.0, 1.0]),
+    ("InitialCondition.gaussian",
+     lambda v: InitialCondition.gaussian([0.0], covariance=v), "covariance",
+     [[1.0, 0.0, 0.0]]),
     ("builtin_model", lambda v: builtin_model("meandering_jet", K=v), "K",
      True),
     ("builtin_model", lambda v: builtin_model("ornstein_uhlenbeck", a=v),
@@ -82,8 +90,7 @@ BAD_ARGUMENTS = [
      "samples_per_axis", 2.5),
     ("estimate_constants", lambda v: estimate_constants(OU, fd_step=v),
      "fd_step", 0.0),
-    ("InitialCondition.fixed.validate",
-     lambda v: InitialCondition.fixed(v).validate(), "mean", [nan]),
+    ("InitialCondition.fixed", InitialCondition.fixed, "mean", [nan]),
     ("builtin_model", lambda v: builtin_model("brownian", dim=v), "dim",
      1.0),
     ("builtin_model",

@@ -428,6 +428,8 @@ BAD_INPUTS = [
     ("simulate", "model", {"name": "linear_additive",
                            "params": {"a_matrix": [[True]], "b_vector": [0.0],
                                       "sigma_matrix": [[1.0]]}}, []),
+    # no moment order: the sweep would be sampled for no fit at all
+    ("validate-scaling", "r", [], []),
 ]
 
 
@@ -462,6 +464,19 @@ def test_bad_input_exits_2_before_numerical_work(tmp_path, monkeypatch,
         node[leaf] = value
     assert main([write_config(tmp_path, cfg), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_a_covariance_that_is_not_psd_is_reported_at_init(tmp_path,
+                                                          monkeypatch, capsys):
+    # the initial law checks itself when it is built from the config
+    _stub_numerical_work(monkeypatch)
+    cfg = _probe_base(tmp_path, "simulate")
+    cfg["model"] = {"name": "meandering_jet"}
+    cfg["init"] = {"kind": "gaussian", "mean": [0.5, 1.0],
+                   "covariance": [[1.0, 2.0], [2.0, 1.0]]}
+    assert main([write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: init: ") and "not PSD" in err
 
 
 @pytest.mark.parametrize("r", [400, 3000])

@@ -113,8 +113,8 @@ class TestPropagateCovariance:
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * scale
 
     def test_bad_sigma_init_raises_with_eigen_report(self, sine):
-        init = InitialCondition.gaussian([0.5], covariance=[[-1.0]])
         with pytest.raises(CovarianceError, match="eigenvalue"):
+            init = InitialCondition.gaussian([0.5], covariance=[[-1.0]])
             linearised_distribution(sine, init, 1.0, 1.0)
 
     def test_mazzoni_matches_adaptive(self, jet):
@@ -568,29 +568,33 @@ class TestGaussianStateType:
         assert back.t == state.t and back.epsilon == state.epsilon
 
     def test_validation_rejects_asymmetry(self):
-        bad = GaussianState(np.zeros(2),
-                            np.array([[1.0, 0.5], [0.1, 1.0]]), 0.0, 0.0)
         with pytest.raises(CovarianceError, match="asymmetry"):
-            bad.validate()
+            GaussianState(np.zeros(2),
+                          np.array([[1.0, 0.5], [0.1, 1.0]]), 0.0, 0.0)
 
     def test_validation_rejects_negative_eigenvalue(self):
-        bad = GaussianState(np.zeros(2),
-                            np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0, 0.0)
         with pytest.raises(CovarianceError, match="eigenvalue"):
-            bad.validate()
+            GaussianState(np.zeros(2),
+                          np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0, 0.0)
+
+    def test_load_rejects_a_law_that_is_not_psd(self, tmp_path):
+        path = tmp_path / "law.json"
+        write_record(path, {"mean": [0.0, 0.0],
+                            "covariance": [1.0, 2.0, 2.0, 1.0],
+                            "t": 1.0, "epsilon": 0.1})
+        with pytest.raises(CovarianceError, match="not PSD"):
+            GaussianState.load(path)
 
 
 class TestInitialConditionType:
     def test_fixed_invariants(self):
         init = InitialCondition.fixed([0.5, -1.0])
-        init.validate()
         assert init.rho == 0.0
         np.testing.assert_array_equal(init.covariance, np.zeros((2, 2)))
         np.testing.assert_array_equal(init.mean, init.reference_point)
 
     def test_gaussian_rho_shorthand(self):
         init = InitialCondition.gaussian([1.0, 2.0], rho=0.2)
-        init.validate()
         np.testing.assert_allclose(init.covariance, 0.04 * np.eye(2))
 
     def test_gaussian_needs_exactly_one_spec(self):
@@ -602,17 +606,39 @@ class TestInitialConditionType:
 
     def test_non_finite_covariance_rejected(self):
         with pytest.raises(CovarianceError, match="non-finite"):
-            GaussianState(np.zeros(1), np.full((1, 1), np.nan), 1.0,
-                          0.1).validate()
+            GaussianState(np.zeros(1), np.full((1, 1), np.nan), 1.0, 0.1)
         with pytest.raises(CovarianceError, match="non-finite"):
             InitialCondition.gaussian([0.0, 0.0], covariance=np.full(
-                (2, 2), np.inf)).validate()
+                (2, 2), np.inf))
 
     def test_gaussian_rejects_non_psd(self):
-        init = InitialCondition.gaussian(
-            [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CovarianceError):
-            init.validate()
+            InitialCondition.gaussian(
+                [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_kind_is_derived_from_the_law(self):
+        assert InitialCondition.fixed([0.5, -1.0]).kind == "fixed"
+        assert InitialCondition.gaussian([0.5], rho=0.1).kind == "gaussian"
+        # a zero covariance is a point mass, but only at the reference point
+        assert InitialCondition.gaussian([0.5], rho=0.0).kind == "fixed"
+        assert InitialCondition.gaussian(
+            [0.5], rho=0.0, reference_point=[0.4]).kind == "gaussian"
+
+    def test_zero_rho_gives_the_fixed_start_bit_for_bit(self, jet):
+        x0 = [0.3, 1.1]
+        fixed, zero = (InitialCondition.fixed(x0),
+                       InitialCondition.gaussian(x0, rho=0.0))
+        cfg = SimulationConfig(dt=1e-2, n_samples=64, seed=5)
+        for method in ("rk45", "mazzoni"):
+            a, b = (linearised_distribution(jet, init, 1.0, 0.1,
+                                            method=method)
+                    for init in (fixed, zero))
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.covariance, b.covariance)
+        a, b = (sample_coupled(jet, init, 0.1, 1.0, cfg)
+                for init in (fixed, zero))
+        np.testing.assert_array_equal(a.y_samples, b.y_samples)
+        np.testing.assert_array_equal(a.l_samples, b.l_samples)
 
 
 @pytest.mark.parametrize("t, epsilon, options", [

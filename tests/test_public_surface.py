@@ -58,6 +58,23 @@ def test_deleted_name_is_gone(module, name):
     assert not hasattr(linsde, name)
 
 
+@pytest.mark.parametrize("owner, name", [
+    (linearise.InitialCondition, "validate"),
+    (linearise.GaussianState, "validate"),
+    (linearise.GaussianState, "from_json")])
+def test_deleted_method_is_gone(owner, name):
+    # a law checks itself when it is built, and GaussianState.load reads
+    # a law file through that check
+    assert not hasattr(owner, name)
+
+
+def test_the_initial_law_derives_its_kind():
+    # kind is read from the law, never set beside it
+    assert [f.name for f in dataclasses.fields(linearise.InitialCondition)] \
+        == ["reference_point", "mean", "covariance", "rho"]
+    assert isinstance(linearise.InitialCondition.kind, property)
+
+
 def test_run_inputs_are_stated_once():
     # the horizon is the t argument alone: the config holds the step, and
     # the batch and its sidecar record the t it was sampled to

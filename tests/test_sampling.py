@@ -85,9 +85,9 @@ class TestDrawInitial:
                                       initial_draws(fixed, 5, seed=4))
 
     def test_non_psd_rejected(self):
-        init = InitialCondition.gaussian(
-            [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(CovarianceError):
+            init = InitialCondition.gaussian(
+                [0.0, 0.0], covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
             initial_draws(init, 3, seed=0)
 
     def test_seed_and_index_stability(self):

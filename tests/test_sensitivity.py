@@ -349,6 +349,23 @@ class TestS2Field:
             back = read_field(tmp_path / name, meta)
             np.testing.assert_array_equal(back.values, field.values)
 
+    def test_values_must_cover_the_grid(self):
+        grid = GridSpec(((0.0, 1.0, 3), (-1.0, 1.0, 2)))
+        with pytest.raises(ValueError, match=r"^values must have shape "
+                                             r"\(6,\), one per grid node, "
+                                             r"got \(4,\)$"):
+            S2Field(grid, np.zeros(4), 1.0, "test")
+
+    def test_a_truncated_field_does_not_load(self, tmp_path):
+        grid = GridSpec(((0.0, 1.0, 3), (-1.0, 1.0, 2)))
+        field = S2Field(grid, np.arange(6.0), 1.0, "test")
+        csv, meta = tmp_path / "field.csv", tmp_path / "field.json"
+        field.write_csv(csv)
+        write_record(meta, field.header())
+        csv.write_text("".join(csv.read_text().splitlines(True)[:-2]))
+        with pytest.raises(ValueError, match="one per grid node"):
+            read_field(csv, meta)
+
 
 class TestEmpiricalLimit:
     def test_ou_small_noise(self, ou):
