@@ -69,9 +69,11 @@ BAD_ARGUMENTS = [
      "times[0]", (nan,)),
     ("estimate_constants", lambda v: estimate_constants(OU, times=v),
      "times", ()),
-    ("InitialCondition.gaussian",
+    # these three cases keep the ids they had when the law was checked by a
+    # validate() method; the same bad values are now refused when it is built
+    ("InitialCondition.gaussian.validate",
      lambda v: InitialCondition.gaussian(v, rho=0.1), "mean", [nan]),
-    ("InitialCondition.gaussian",
+    ("InitialCondition.gaussian.validate",
      lambda v: InitialCondition.gaussian([0.0], rho=0.1, reference_point=v),
      "reference_point", [0.0, 1.0]),
     ("InitialCondition.gaussian",
@@ -90,7 +92,8 @@ BAD_ARGUMENTS = [
      "samples_per_axis", 2.5),
     ("estimate_constants", lambda v: estimate_constants(OU, fd_step=v),
      "fd_step", 0.0),
-    ("InitialCondition.fixed", InitialCondition.fixed, "mean", [nan]),
+    ("InitialCondition.fixed.validate", InitialCondition.fixed, "mean",
+     [nan]),
     ("builtin_model", lambda v: builtin_model("brownian", dim=v), "dim",
      1.0),
     ("builtin_model",
